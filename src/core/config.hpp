@@ -46,6 +46,22 @@ struct HybridConfig {
   /// impatience (clients wait forever), which is the paper's base setting.
   double mean_patience = 0.0;
 
+  /// Per-class multipliers on each patience draw; empty = all 1. Applied
+  /// after the draw, so the patience stream is consumed identically.
+  std::vector<double> patience_scale;
+
+  /// Patience-tightening spike: draws armed inside [patience_spike_start,
+  /// patience_spike_start + patience_spike_duration) are also multiplied by
+  /// patience_spike_factor. A factor of 1 or a zero duration disables it.
+  double patience_spike_factor = 1.0;
+  double patience_spike_start = 0.0;
+  double patience_spike_duration = 0.0;
+
+  /// Hedged re-request: a pull request still queued this long after
+  /// admission posts one synthetic duplicate (kHedgeIdBit) into its item's
+  /// entry, raising the entry's aggregate importance. <= 0 disables.
+  double hedge_after = 0.0;
+
   /// Seed for the server's own randomness (bandwidth demand, patience and
   /// fault-channel draws).
   std::uint64_t seed = 1;

@@ -1,14 +1,16 @@
 #include "core/hybrid_server.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 
-#include "core/sched_rules.hpp"
+#include "metrics/float_compare.hpp"
 #include "resilience/crash.hpp"
 #include "resilience/snapshot.hpp"
 #include "rng/exponential.hpp"
@@ -19,6 +21,37 @@
 #include "rng/uniform.hpp"
 
 namespace pushpull::core {
+
+// metrics keeps its own ClassId alias so the metrics layer never includes
+// workload/ (layer DAG, tools/detlint/layers.toml); the engine sees both
+// layers, so it pins them together.
+static_assert(std::is_same_v<workload::ClassId, metrics::ClassId>,
+              "metrics::ClassId must stay alias-identical to "
+              "workload::ClassId");
+
+namespace {
+
+/// The class whose bandwidth pool a pull transmission draws from: the most
+/// important (lowest id) class with a pending request for the item.
+[[nodiscard]] workload::ClassId owning_class(
+    const sched::PullEntry& entry) noexcept {
+  workload::ClassId best = entry.pending.front().cls;
+  for (const auto& r : entry.pending) {
+    if (r.cls < best) best = r.cls;
+  }
+  return best;
+}
+
+void require(bool ok, const std::string& what) {
+  if (!ok) throw std::invalid_argument("HybridServer: " + what);
+}
+
+void require_finite(double value, const char* field) {
+  require(std::isfinite(value), std::string(field) + " must be finite, got " +
+                                    std::to_string(value));
+}
+
+}  // namespace
 
 HybridServer::HybridServer(const catalog::Catalog& cat,
                            const workload::ClientPopulation& pop,
@@ -35,8 +68,41 @@ HybridServer::HybridServer(const catalog::Catalog& cat,
     throw std::invalid_argument(
         "HybridServer: warmup_fraction must be in [0, 1)");
   }
+  // Non-finite scheduler inputs would otherwise surface mid-run, or not at
+  // all: an infinite demand mean never leaves rng::poisson, a NaN alpha
+  // scores every entry NaN, a NaN patience fails schedule_at, and a NaN
+  // bandwidth silently reads as unconstrained.
+  require_finite(config_.alpha, "alpha");
+  require_finite(config_.mean_bandwidth_demand, "mean_bandwidth_demand");
+  require_finite(config_.mean_patience, "mean_patience");
+  require_finite(config_.total_bandwidth, "total_bandwidth");
+  require(config_.patience_scale.empty() ||
+              config_.patience_scale.size() == pop.num_classes(),
+          "patience_scale must be empty or carry one factor per class");
+  for (const double s : config_.patience_scale) {
+    require(s > 0.0 && std::isfinite(s),
+            "patience_scale factors must be positive finite numbers");
+  }
+  require(config_.patience_spike_factor > 0.0 &&
+              std::isfinite(config_.patience_spike_factor) &&
+              config_.patience_spike_start >= 0.0 &&
+              std::isfinite(config_.patience_spike_start) &&
+              config_.patience_spike_duration >= 0.0 &&
+              std::isfinite(config_.patience_spike_duration),
+          "the patience spike needs a positive factor and a non-negative "
+          "start and duration, all finite");
+  require(config_.hedge_after >= 0.0 && std::isfinite(config_.hedge_after),
+          "hedge_after must be a non-negative finite number");
   config_.fault.validate();
   config_.resilience.validate();
+  // A crash wipes the pull queue and storms its requests back; duplicates
+  // have no client behind them to re-request.
+  require(!hedging() || !config_.resilience.crash.enabled ||
+              config_.resilience.crash.rate <= 0.0,
+          "hedging is not modelled across server crashes");
+  patience_spike_ =
+      !metrics::exactly_equal(config_.patience_spike_factor, 1.0) &&
+      config_.patience_spike_duration > 0.0;
   if (config_.fault.enabled) {
     channel_.emplace(config_.fault.channel,
                      rng::StreamFactory(config_.seed).stream("fault-channel"));
@@ -69,17 +135,29 @@ void HybridServer::note_queue_len() {
                      (now - queue_len_last_t_);
   queue_len_last_t_ = now;
   if (obs_) obs_->note_queue_len(pull_queue_.total_requests());
+  if (listener_) listener_->on_queue_len(pull_queue_.total_requests());
 }
 
 void HybridServer::settle_one() {
   ++settled_;
+  end_time_ = sim_.now();
   if (settled_ == to_settle_) sim_.request_stop();
 }
 
 void HybridServer::arm_patience(const workload::Request& request) {
   if (config_.mean_patience <= 0.0) return;
-  const double patience =
+  double patience =
       rng::exponential(patience_eng_, 1.0 / config_.mean_patience);
+  // Scales and the spike multiply the draw after it is taken, so the
+  // patience stream is consumed identically with or without them.
+  if (!config_.patience_scale.empty()) {
+    patience *= config_.patience_scale[request.cls];
+  }
+  const double now = sim_.now();
+  if (patience_spike_ && now >= config_.patience_spike_start &&
+      now < config_.patience_spike_start + config_.patience_spike_duration) {
+    patience *= config_.patience_spike_factor;
+  }
   const des::EventId event = sim_.schedule_in(
       patience, [this, request]() { on_patience_expired(request); });
   patience_.emplace(request.id, event);
@@ -111,6 +189,10 @@ void HybridServer::on_patience_expired(const workload::Request& request) {
     note_queue_len();
     removed = pull_queue_.remove_request(request.item, request.id,
                                          population_->priority(request.cls));
+    if (removed) {
+      disarm_hedge(request.id);
+      remove_hedge_dup(request);
+    }
   }
   // The timer is disarmed whenever the request is committed or dropped, so
   // an expired timer must always find its request still waiting.
@@ -123,33 +205,29 @@ void HybridServer::on_patience_expired(const workload::Request& request) {
         "request is committed to a transmission or dropped");
   }
   retry_count_.erase(request.id);
-  if (obs_) {
-    ++obs_->counters.server_abandoned;
-    trace_.emit<obs::Category::kQueue>(sim_.now(), "abandon", request.item,
-                                       request.cls);
-  }
+  if (obs_) ++obs_->counters.server_abandoned;
+  trace_.emit<obs::Category::kQueue>(sim_.now(), "abandon", request.item,
+                                     request.cls);
   if (measured(request)) collector_->record_abandoned(request.cls);
   settle_one();
 }
 
 bool HybridServer::transmission_corrupted() {
   if (!channel_.has_value()) return false;
-  if (obs_) {
+  if (trace_.enabled()) {
     // Traced draw: identical engine consumption, plus state-flip events
-    // and the flip counter.
+    // and, when observed, the flip counter.
     return channel_->corrupts(trace_, sim_.now(),
-                              &obs_->counters.fault_flips);
+                              obs_ ? &obs_->counters.fault_flips : nullptr);
   }
   return channel_->corrupts();
 }
 
 void HybridServer::shed_request(const workload::Request& request) {
   retry_count_.erase(request.id);
-  if (obs_) {
-    ++obs_->counters.fault_shed;
-    trace_.emit<obs::Category::kQueue>(sim_.now(), "shed", request.item,
-                                       request.cls);
-  }
+  if (obs_) ++obs_->counters.fault_shed;
+  trace_.emit<obs::Category::kQueue>(sim_.now(), "shed", request.item,
+                                     request.cls);
   if (measured(request)) collector_->record_shed(request.cls);
   settle_one();
 }
@@ -167,6 +245,7 @@ bool HybridServer::admit_pull(const workload::Request& request) {
   fault::LowestPriorityVictim<workload::Request> scan;
   for (const auto& entry : pull_queue_.entries()) {
     for (const auto& r : entry.pending) {
+      if (is_hedge_dup(r)) continue;  // duplicates are not admitted work
       scan.consider(r, population_->priority(r.cls), r.id);
     }
   }
@@ -177,6 +256,8 @@ bool HybridServer::admit_pull(const workload::Request& request) {
   const workload::Request evicted = *scan.victim();  // copy before mutation
   disarm_patience(evicted.id);
   pull_queue_.remove_request(evicted.item, evicted.id, scan.priority());
+  disarm_hedge(evicted.id);
+  remove_hedge_dup(evicted);
   shed_request(evicted);
   return true;
 }
@@ -198,6 +279,7 @@ void HybridServer::requeue_pull(const workload::Request& request) {
         sim_.now(), "enter", request.item, request.cls,
         static_cast<double>(pull_queue_.total_requests()));
     arm_patience(request);
+    arm_hedge(request);
   }
   if (!server_busy_) {
     server_busy_ = true;
@@ -207,26 +289,25 @@ void HybridServer::requeue_pull(const workload::Request& request) {
 
 void HybridServer::on_pull_corrupted(const sched::PullEntry& entry) {
   for (const auto& r : entry.pending) {
+    if (is_hedge_dup(r)) continue;  // the duplicate dies with the airtime
     if (measured(r)) collector_->record_corrupted(r.cls);
     const std::uint32_t attempt = ++retry_count_[r.id];
     if (attempt > config_.fault.retry.max_retries) {
       retry_count_.erase(r.id);
-      if (obs_) {
-        ++obs_->counters.fault_lost;
-        trace_.emit<obs::Category::kFault>(sim_.now(), "lost", r.item,
-                                           attempt);
-      }
+      if (obs_) ++obs_->counters.fault_lost;
+      trace_.emit<obs::Category::kFault>(sim_.now(), "lost", r.item, attempt);
       if (measured(r)) collector_->record_lost(r.cls);
       settle_one();
       continue;
     }
-    if (obs_) {
-      ++obs_->counters.fault_retries;
-      trace_.emit<obs::Category::kFault>(sim_.now(), "retry", r.item, attempt);
-    }
+    if (obs_) ++obs_->counters.fault_retries;
+    trace_.emit<obs::Category::kFault>(sim_.now(), "retry", r.item, attempt);
     if (measured(r)) collector_->record_retry(r.cls);
-    sim_.schedule_in(config_.fault.retry.backoff_delay(attempt),
-                     [this, r]() { requeue_pull(r); });
+    ++retry_pending_;
+    sim_.schedule_in(config_.fault.retry.backoff_delay(attempt), [this, r]() {
+      --retry_pending_;
+      requeue_pull(r);
+    });
   }
 }
 
@@ -240,17 +321,64 @@ void HybridServer::deliver(const workload::Request& request, bool via_push) {
     }
     obs_->note_response(request.cls, now - request.arrival);
   }
+  // Deliver-at-end: latency runs from the arrival to the transmission end,
+  // never its start; the end is also the class's service instant, feeding
+  // the inter-service-gap statistics.
   if (measured(request)) {
-    // parity:begin(deliver-at-end, request=r)
-    sched_rules::record_delivery(*collector_, request, now, via_push);
-    // parity:end
+    collector_->record_served(request.cls, now - request.arrival, via_push,
+                              now);
   }
   settle_one();
 }
 
+void HybridServer::arm_hedge(const workload::Request& request) {
+  if (!hedging() || hedged_.contains(request.id)) return;
+  hedge_timer_[request.id] = sim_.schedule_in(
+      config_.hedge_after, [this, request]() { on_hedge_fire(request); });
+}
+
+void HybridServer::disarm_hedge(workload::RequestId request) {
+  if (!hedging()) return;
+  const auto it = hedge_timer_.find(request);
+  if (it == hedge_timer_.end()) return;
+  sim_.cancel(it->second);
+  hedge_timer_.erase(it);
+}
+
+void HybridServer::on_hedge_fire(const workload::Request& request) {
+  hedge_timer_.erase(request.id);
+  const std::size_t capacity = effective_queue_capacity();
+  if (capacity > 0 && pull_queue_.total_requests() >= capacity) return;
+  note_queue_len();
+  workload::Request dup = request;
+  dup.id |= kHedgeIdBit;
+  dup.arrival = sim_.now();
+  pull_queue_.add(dup, population_->priority(dup.cls),
+                  catalog_->length(dup.item), catalog_->probability(dup.item));
+  max_queue_len_ = std::max(max_queue_len_, pull_queue_.total_requests());
+  hedged_.insert(request.id);
+  ++hedges_posted_;
+  trace_.emit<obs::Category::kRetry>(sim_.now(), "hedge", request.item,
+                                     request.cls);
+  if (!server_busy_) {
+    server_busy_ = true;
+    serve_next(/*just_did_push=*/true);
+  }
+}
+
+void HybridServer::remove_hedge_dup(const workload::Request& primary) {
+  if (!hedging() || hedged_.erase(primary.id) == 0) return;
+  // The duplicate rides the same item entry; it leaves with its primary.
+  (void)pull_queue_.remove_request(primary.item, primary.id | kHedgeIdBit,
+                                   population_->priority(primary.cls));
+}
+
 void HybridServer::on_arrival(const workload::Request& request) {
+  if (draining_) return;  // admission has stopped
+  ++arrivals_;
   if (obs_) ++obs_->counters.server_arrivals;
   if (measured(request)) collector_->record_arrival(request.cls);
+  if (listener_) listener_->on_arrival(request);
   if (request.item < effective_cutoff()) {
     // Push item: the request is "ignored" by the scheduler (the item is on
     // the broadcast program anyway); park it to measure its delay.
@@ -263,11 +391,9 @@ void HybridServer::on_arrival(const workload::Request& request) {
   if (uplink_rejected(request.cls)) {
     // The ladder's admission control refuses the class at the uplink; the
     // request never enters server state.
-    if (obs_) {
-      ++obs_->counters.server_rejected;
-      trace_.emit<obs::Category::kLadder>(sim_.now(), "reject", request.item,
-                                          request.cls);
-    }
+    if (obs_) ++obs_->counters.server_rejected;
+    trace_.emit<obs::Category::kLadder>(sim_.now(), "reject", request.item,
+                                        request.cls);
     if (measured(request)) collector_->record_rejected(request.cls);
     settle_one();
     return;
@@ -289,6 +415,7 @@ void HybridServer::on_arrival(const workload::Request& request) {
       sim_.now(), "enter", request.item, request.cls,
       static_cast<double>(pull_queue_.total_requests()));
   arm_patience(request);
+  arm_hedge(request);
   if (!server_busy_) {
     // Pure-pull server (cutoff 0) sleeping on an empty queue: wake it.
     server_busy_ = true;
@@ -302,26 +429,26 @@ void HybridServer::serve_next(bool just_did_push) {
     return;
   }
   const double now = sim_.now();
-  if (effective_cutoff() == 0) {
+  if (effective_cutoff() == 0 || draining_) {
+    // Pure pull, or a drain's flush (pull entries back to back, no further
+    // broadcasts): idle on an empty queue until an arrival, a retry or a
+    // hedge wakes us.
     if (pull_queue_.empty()) {
-      server_busy_ = false;  // idle until the next pull arrival wakes us
+      server_busy_ = false;
       return;
     }
     start_pull(now);
     return;
   }
-  // parity:begin(push-pull-alternation)
   // Strict alternation: one pull opportunity after every push.
   if (just_did_push && !pull_queue_.empty()) {
     start_pull(now);
   } else {
     start_push(now);
   }
-  // parity:end
 }
 
 void HybridServer::start_push(double now) {
-  // parity:begin(catch-at-start, disarm_patience=disarm_deadline)
   const catalog::ItemId item = push_sched_->next();
   // Only clients already waiting when the transmission starts catch it;
   // arrivals during the airtime wait for the next replica.
@@ -329,9 +456,9 @@ void HybridServer::start_push(double now) {
   push_waiters_[item].clear();
   // Once the item is on air, the waiting clients are committed to it.
   for (const auto& r : catching) disarm_patience(r.id);
-  // parity:end
   trace_.emit<obs::Category::kPush>(now, "tx_start", item, catching.size(),
                                     catalog_->length(item));
+  if (listener_) listener_->on_transmission(true, now, item, catching.size());
   if (crash_active_) inflight_push_ = InFlightPush{item, catching};
   const std::uint64_t epoch = server_epoch_;
   sim_.schedule_in(
@@ -359,10 +486,7 @@ void HybridServer::start_push(double now) {
           if (obs_) ++obs_->counters.fault_corrupt_push;
           trace_.emit<obs::Category::kFault>(sim_.now(), "corrupt_push", item,
                                              catching.size());
-          // parity:begin(corrupt-repark)
-          const bool still_broadcast =
-              sched_rules::repark_after_corruption(item, effective_cutoff());
-          // parity:end
+          const bool still_broadcast = item < effective_cutoff();
           for (const auto& r : catching) {
             if (measured(r)) collector_->record_corrupted(r.cls);
             if (still_broadcast) {
@@ -381,11 +505,9 @@ void HybridServer::start_push(double now) {
 
 void HybridServer::start_pull(double now) {
   note_queue_len();
-  // parity:begin(pull-priority-context)
   sched::PullContext ctx;
   ctx.now = now;
   ctx.expected_queue_len = now > 0.0 ? queue_len_area_ / now : 1.0;
-  // parity:end
   auto entry = pull_queue_.extract_best(*pull_policy_, ctx);
   if (!entry.has_value()) {
     throw std::logic_error(
@@ -396,13 +518,20 @@ void HybridServer::start_pull(double now) {
   trace_.emit<obs::Category::kQueue>(
       now, "extract", entry->item, entry->pending.size(),
       static_cast<double>(pull_queue_.total_requests()));
-  for (const auto& r : entry->pending) disarm_patience(r.id);
+  for (const auto& r : entry->pending) {
+    if (is_hedge_dup(r)) {
+      hedged_.erase(r.id & ~kHedgeIdBit);
+      continue;
+    }
+    disarm_patience(r.id);
+    disarm_hedge(r.id);
+  }
 
   const double demand = config_.mean_bandwidth_demand > 0.0
                             ? static_cast<double>(rng::poisson(
                                   demand_eng_, config_.mean_bandwidth_demand))
                             : 0.0;
-  const workload::ClassId cls = sched_rules::owning_class(*entry);
+  const workload::ClassId cls = owning_class(*entry);
   const bool admitted = bandwidth_.try_acquire(cls, demand);
   if (config_.resilience.overload.enabled) {
     const double alpha = config_.resilience.overload.ewma_alpha;
@@ -414,10 +543,11 @@ void HybridServer::start_pull(double now) {
     if (obs_) {
       ++obs_->counters.blocked_tx;
       obs_->counters.blocked_requests += entry->pending.size();
-      trace_.emit<obs::Category::kPull>(now, "blocked", entry->item, cls,
-                                        demand);
     }
+    trace_.emit<obs::Category::kPull>(now, "blocked", entry->item, cls,
+                                      demand);
     for (const auto& r : entry->pending) {
+      if (is_hedge_dup(r)) continue;
       retry_count_.erase(r.id);
       if (measured(r)) collector_->record_blocked(r.cls);
       settle_one();
@@ -427,6 +557,9 @@ void HybridServer::start_pull(double now) {
   }
   trace_.emit<obs::Category::kPull>(now, "tx_start", entry->item,
                                     entry->pending.size(), demand);
+  if (listener_) {
+    listener_->on_transmission(false, now, entry->item, entry->pending.size());
+  }
   if (crash_active_) inflight_pull_ = InFlightPull{*entry, cls, demand};
   const std::uint64_t epoch = server_epoch_;
   sim_.schedule_in(entry->length,
@@ -448,6 +581,10 @@ void HybridServer::start_pull(double now) {
                        on_pull_corrupted(entry);
                      } else {
                        for (const auto& r : entry.pending) {
+                         if (is_hedge_dup(r)) {
+                           ++hedges_absorbed_;
+                           continue;
+                         }
                          retry_count_.erase(r.id);
                          deliver(r, false);
                        }
@@ -456,43 +593,45 @@ void HybridServer::start_pull(double now) {
                    });
 }
 
-// parity:begin(cutoff-boost, HybridServer=LiveServer)
 std::size_t HybridServer::effective_cutoff() const noexcept {
-  return sched_rules::effective_cutoff(config_.cutoff, cutoff_boost_,
-                                       catalog_->size());
+  return std::min(config_.cutoff + cutoff_boost_, catalog_->size());
 }
-// parity:end
 
-// parity:begin(overload-soft-cap, HybridServer=LiveServer)
 std::size_t HybridServer::effective_queue_capacity() const noexcept {
-  return sched_rules::effective_queue_capacity(overload_.level(),
-                                               config_.fault.queue_capacity,
-                                               overload_config().capacity_ref);
+  if (config_.fault.queue_capacity > 0) return config_.fault.queue_capacity;
+  if (overload_.level() >= resilience::OverloadLevel::kShedLowPriority) {
+    return config_.resilience.overload.capacity_ref;  // ladder soft cap
+  }
+  return 0;
 }
 
 fault::ShedPolicy HybridServer::effective_shed_policy() const noexcept {
-  return sched_rules::effective_shed_policy(overload_.level(),
-                                            config_.fault.shed_policy);
+  if (overload_.level() >= resilience::OverloadLevel::kShedLowPriority) {
+    return fault::ShedPolicy::kDropLowestPriority;
+  }
+  return config_.fault.shed_policy;
 }
-// parity:end
 
-// parity:begin(uplink-admission, HybridServer=LiveServer)
 bool HybridServer::uplink_rejected(workload::ClassId cls) const noexcept {
-  return sched_rules::uplink_rejected(overload_.level(), cls,
-                                      population_->num_classes());
+  const std::size_t classes = population_->num_classes();
+  if (classes < 2) return false;  // never starve a single-class population
+  if (overload_.level() >= resilience::OverloadLevel::kBrownout) {
+    return cls >= 1;  // only the most important class is admitted
+  }
+  if (overload_.level() >= resilience::OverloadLevel::kAdmissionControl) {
+    return cls == classes - 1;
+  }
+  return false;
 }
-// parity:end
 
 void HybridServer::on_crash() {
   if (settled_ == to_settle_) return;  // the run already drained
   const double crash_time = sim_.now();
   const double recovery_time = crash_time + config_.resilience.crash.downtime;
   ++crash_count_;
-  if (obs_) {
-    ++obs_->counters.crash_count;
-    trace_.emit<obs::Category::kCrash>(crash_time, "crash", crash_count_, 0,
-                                       config_.resilience.crash.downtime);
-  }
+  if (obs_) ++obs_->counters.crash_count;
+  trace_.emit<obs::Category::kCrash>(crash_time, "crash", crash_count_, 0,
+                                     config_.resilience.crash.downtime);
   total_downtime_ += config_.resilience.crash.downtime;
   ++server_epoch_;  // voids the in-flight transmission-end event
   down_ = true;
@@ -550,11 +689,9 @@ void HybridServer::on_crash() {
 
   storm_rerequests_ += storm.size();
   largest_storm_ = std::max(largest_storm_, storm.size());
-  if (obs_) {
-    obs_->counters.crash_storm += storm.size();
-    trace_.emit<obs::Category::kCrash>(crash_time, "storm", storm.size(),
-                                       crash_count_);
-  }
+  if (obs_) obs_->counters.crash_storm += storm.size();
+  trace_.emit<obs::Category::kCrash>(crash_time, "storm", storm.size(),
+                                     crash_count_);
   for (const auto& r : storm) storm_rerequest(r, crash_time, recovery_time);
 }
 
@@ -598,35 +735,48 @@ void HybridServer::take_snapshot() {
       for (const auto& r : entry.pending) snap.queued.push_back(r.id);
     }
     latest_snapshot_ = resilience::encode_snapshot(snap, snapshot_fingerprint_);
-    if (obs_) {
-      ++obs_->counters.crash_snapshots;
-      trace_.emit<obs::Category::kCrash>(sim_.now(), "snapshot",
-                                         snap.queued.size());
-    }
+    if (obs_) ++obs_->counters.crash_snapshots;
+    trace_.emit<obs::Category::kCrash>(sim_.now(), "snapshot",
+                                       snap.queued.size());
   }
   sim_.schedule_in(config_.resilience.crash.snapshot_interval,
                    [this]() { take_snapshot(); });
 }
 
 void HybridServer::evaluate_overload() {
-  if (settled_ == to_settle_) return;
-  // parity:begin(ladder-occupancy)
-  const double occupancy = sched_rules::ladder_occupancy(
-      pull_queue_.total_requests(), push_waiters_, config_.cutoff,
-      effective_cutoff(), config_.fault.queue_capacity,
-      overload_config().capacity_ref);
-  const double worst_ewma = sched_rules::worst_blocking_ewma(blocking_ewma_);
-  // parity:end
+  // A finished or draining run stops re-evaluating.
+  if (settled_ == to_settle_ || draining_) return;
+  const resilience::OverloadConfig& ladder = config_.resilience.overload;
+  // Occupancy counts the requests the widen-push boost parked out of the
+  // pull queue: they are still the ladder's backlog until delivered.
+  // Excluding them makes the controller oscillate (widening empties the
+  // queue, the next eval sees zero occupancy and de-escalates, the shrink
+  // refills the queue), and each flip restarts the push program, which can
+  // starve the de-widened items forever when no patience timer reaps them.
+  const std::size_t cap = config_.fault.queue_capacity > 0
+                              ? config_.fault.queue_capacity
+                              : ladder.capacity_ref;
+  const std::size_t cut = effective_cutoff();
+  std::size_t backlog = pull_queue_.total_requests();
+  for (std::size_t item = config_.cutoff; item < cut; ++item) {
+    backlog += push_waiters_[item].size();
+  }
+  const double occupancy =
+      static_cast<double>(backlog) / static_cast<double>(cap);
+  // The pressure signal: the worst per-class blocking EWMA.
+  double worst_ewma = 0.0;
+  for (const double e : blocking_ewma_) worst_ewma = std::max(worst_ewma, e);
   const resilience::OverloadLevel before = overload_.level();
   const resilience::OverloadLevel after =
-      obs_ ? overload_.update(sim_.now(), occupancy, worst_ewma, trace_)
-           : overload_.update(sim_.now(), occupancy, worst_ewma);
+      overload_.update(sim_.now(), occupancy, worst_ewma, trace_);
   if (after != before) {
     if (obs_) ++obs_->counters.ladder_transitions;
+    // Reported before the new level acts, so a journal reads transitions in
+    // causal order with the decisions they cause.
+    if (listener_) listener_->on_ladder(sim_.now(), before, after);
     apply_overload_level(after);
   }
-  sim_.schedule_in(config_.resilience.overload.eval_interval,
-                   [this]() { evaluate_overload(); });
+  sim_.schedule_in(ladder.eval_interval, [this]() { evaluate_overload(); });
 }
 
 void HybridServer::apply_overload_level(resilience::OverloadLevel level) {
@@ -645,22 +795,28 @@ void HybridServer::apply_cutoff_boost(std::size_t boost) {
   cutoff_boost_ = boost;
   const std::size_t new_cut = effective_cutoff();
   if (new_cut == old_cut) return;
-  if (obs_) {
-    ++obs_->counters.cutoff_boosts;
-    trace_.emit<obs::Category::kCutoff>(sim_.now(), "boost", old_cut, new_cut);
-  }
+  if (obs_) ++obs_->counters.cutoff_boosts;
+  trace_.emit<obs::Category::kCutoff>(sim_.now(), "boost", old_cut, new_cut);
   push_sched_ = new_cut > 0 ? sched::make_push_scheduler(config_.push_policy,
                                                          *catalog_, new_cut)
                             : nullptr;
   if (new_cut > old_cut) {
     // Widened: the hottest pull items now ride the broadcast. Their queued
     // requests become push waiters; patience timers stay armed (the client
-    // is still waiting for the same item).
+    // is still waiting for the same item). Hedged duplicates die here:
+    // broadcast delivery needs no importance boost.
     note_queue_len();
     for (std::size_t item = old_cut; item < new_cut; ++item) {
       auto entry = pull_queue_.extract(static_cast<catalog::ItemId>(item));
       if (!entry.has_value()) continue;
-      for (const auto& r : entry->pending) push_waiters_[r.item].push_back(r);
+      for (const auto& r : entry->pending) {
+        if (is_hedge_dup(r)) {
+          hedged_.erase(r.id & ~kHedgeIdBit);
+          continue;
+        }
+        disarm_hedge(r.id);
+        push_waiters_[r.item].push_back(r);
+      }
     }
   } else {
     // Shrunk back: parked waiters of de-widened items are pull requests
@@ -682,8 +838,9 @@ void HybridServer::apply_cutoff_boost(std::size_t boost) {
   }
 }
 
-SimResult HybridServer::run(const workload::Trace& trace) {
-  // Reset run-scoped state so a server can be reused across traces,
+void HybridServer::begin(std::span<const workload::Request> plan,
+                         std::uint64_t expected, RunListener* listener) {
+  // Reset run-scoped state so a server can be reused across runs,
   // including the per-run random engines (bandwidth demands, patience).
   sim_.reset();
   demand_eng_ = rng::StreamFactory(config_.seed).stream("bandwidth-demand");
@@ -694,9 +851,11 @@ SimResult HybridServer::run(const workload::Trace& trace) {
   pull_queue_.clear();
   patience_.clear();
   retry_count_.clear();
+  hedge_timer_.clear();
+  hedged_.clear();
   // Observability: created fresh per run (after the queue clear above, so
   // leftover state never pollutes the new tallies), torn down to nothing
-  // when disabled. The tracer handle is inert without an observer.
+  // when disabled. The tracer handle is then the driver's, if any.
   config_.obs.validate();
   if (config_.obs.enabled) {
     obs_ = std::make_unique<obs::RunObserver>(config_.obs,
@@ -704,7 +863,7 @@ SimResult HybridServer::run(const workload::Trace& trace) {
     trace_ = obs_->tracer();
   } else {
     obs_.reset();
-    trace_ = obs::Tracer{};
+    trace_ = external_trace_;
   }
   sim_.set_tracer(trace_);
   pull_queue_.set_counters(obs_ ? obs_->queue_counters() : nullptr);
@@ -723,17 +882,25 @@ SimResult HybridServer::run(const workload::Trace& trace) {
   for (auto& waiters : push_waiters_) waiters.clear();
   collector_ =
       std::make_unique<metrics::ClassCollector>(population_->num_classes());
-  to_settle_ = trace.size();
+  listener_ = listener;
+  to_settle_ = expected;
   settled_ = 0;
+  arrivals_ = 0;
+  end_time_ = 0.0;
+  retry_pending_ = 0;
+  draining_ = false;
   push_transmissions_ = 0;
   pull_transmissions_ = 0;
   blocked_transmissions_ = 0;
   corrupted_push_transmissions_ = 0;
   corrupted_pull_transmissions_ = 0;
+  hedges_posted_ = 0;
+  hedges_absorbed_ = 0;
   queue_len_area_ = 0.0;
   queue_len_last_t_ = 0.0;
   max_queue_len_ = 0;
-  warmup_time_ = config_.warmup_fraction * trace.span();
+  const des::SimTime span = plan.empty() ? 0.0 : plan.back().arrival;
+  warmup_time_ = config_.warmup_fraction * span;
 
   // Resilience state. With crashes disabled and the ladder off nothing
   // below derives a stream or schedules an event, keeping the fault-free
@@ -764,7 +931,7 @@ SimResult HybridServer::run(const workload::Trace& trace) {
                              (static_cast<std::uint64_t>(config_.cutoff)
                               << 16)));
     const resilience::CrashSchedule schedule = resilience::CrashSchedule::
-        poisson(crash, trace.span(),
+        poisson(crash, span,
                 rng::StreamFactory(config_.seed).stream("crash-schedule"));
     for (const double t : schedule.times()) {
       sim_.schedule_at(t, [this]() { on_crash(); });
@@ -779,18 +946,68 @@ SimResult HybridServer::run(const workload::Trace& trace) {
                      [this]() { evaluate_overload(); });
   }
 
-  const std::span<const workload::Request> requests = trace.requests();
   sim_.stream_arrivals(
-      {requests.size(),
-       [requests](std::size_t i) { return requests[i].arrival; },
-       [this, requests](std::size_t i) { on_arrival(requests[i]); }});
+      {plan.size(), [plan](std::size_t i) { return plan[i].arrival; },
+       [this, plan](std::size_t i) { on_arrival(plan[i]); }});
   server_busy_ = true;
   if (config_.cutoff == 0) {
     server_busy_ = false;  // pure pull: sleep until the first arrival
   } else {
     sim_.schedule_at(0.0, [this]() { serve_next(/*just_did_push=*/true); });
   }
-  sim_.run();
+}
+
+SimResult HybridServer::run(const workload::Trace& trace) {
+  return run(trace.requests(), 0.0, nullptr);
+}
+
+SimResult HybridServer::run(std::span<const workload::Request> plan,
+                            double drain_at, RunListener* listener) {
+  begin(plan, plan.size(), listener);
+  if (drain_at > 0.0) {
+    // Every event strictly before the drain instant runs first.
+    advance_to(std::nextafter(drain_at, 0.0));
+    if (!done()) drain(drain_at);
+  }
+  if (draining_) {
+    advance_to(des::Simulator::kForever);
+  } else if (!done()) {
+    sim_.run();  // settling the last request stops the kernel
+  }
+  return finish();
+}
+
+void HybridServer::start_realtime(std::uint64_t expected,
+                                  RunListener* listener) {
+  begin({}, expected, listener);
+}
+
+void HybridServer::advance_to(des::SimTime t) {
+  while (!done() && sim_.next_time() <= t) sim_.step();
+}
+
+void HybridServer::arrive(workload::Request request, double observed) {
+  advance_to(observed);
+  request.arrival = std::max(observed, sim_.now());
+  sim_.schedule_at(request.arrival, [this, request]() { on_arrival(request); });
+  advance_to(request.arrival);
+}
+
+void HybridServer::drain(double at) {
+  draining_ = true;
+  const std::uint64_t skipped = to_settle_ - arrivals_;
+  to_settle_ = arrivals_;  // only injected requests can still settle
+  if (listener_) listener_->on_drain(at, skipped);
+  trace_.emit<obs::Category::kDrain>(at, "drain", skipped);
+}
+
+bool HybridServer::done() const noexcept {
+  if (settled_ == to_settle_) return true;
+  return draining_ && !server_busy_ && pull_queue_.empty() &&
+         retry_pending_ == 0;
+}
+
+SimResult HybridServer::finish() {
   note_queue_len();
   if (obs_) {
     obs_->counters.des_scheduled =
@@ -803,24 +1020,31 @@ SimResult HybridServer::run(const workload::Trace& trace) {
 
   SimResult result;
   result.per_class = collector_->all();
-  result.end_time = sim_.now();
+  result.end_time = end_time_;
   result.push_transmissions = push_transmissions_;
   result.pull_transmissions = pull_transmissions_;
   result.blocked_transmissions = blocked_transmissions_;
   result.corrupted_push_transmissions = corrupted_push_transmissions_;
   result.corrupted_pull_transmissions = corrupted_pull_transmissions_;
   result.mean_pull_queue_len =
-      sim_.now() > 0.0 ? queue_len_area_ / sim_.now() : 0.0;
+      end_time_ > 0.0 ? queue_len_area_ / end_time_ : 0.0;
   result.max_pull_queue_len = max_queue_len_;
   result.crashes = crash_count_;
   result.total_downtime = total_downtime_;
   result.storm_rerequests = storm_rerequests_;
   result.largest_storm = largest_storm_;
   result.recovery_latency = recovery_latency_;
-  // parity:begin(overload-transition-export, result=report)
-  sched_rules::export_overload(result, overload_);
-  // parity:end
+  result.overload_transitions = overload_.transitions();
+  result.max_overload_level = overload_.max_level();
   result.event_order_violations = sim_.order_violations();
+  result.hedges_posted = hedges_posted_;
+  result.hedges_absorbed = hedges_absorbed_;
+  // Counted structurally, not from the tallies, so a conservation check on
+  // the result has teeth.
+  result.unsettled = pull_queue_.total_requests() + retry_pending_ +
+                     downtime_parked_.size();
+  for (const auto& waiters : push_waiters_) result.unsettled += waiters.size();
+  listener_ = nullptr;
   return result;
 }
 

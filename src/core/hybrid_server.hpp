@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "catalog/catalog.hpp"
@@ -24,6 +27,41 @@
 #include "workload/trace.hpp"
 
 namespace pushpull::core {
+
+/// Bit marking a hedged duplicate's request id (HybridConfig::hedge_after).
+/// Duplicates live only inside the pull queue: they boost their item
+/// entry's aggregate importance, are absorbed silently at delivery, and are
+/// never counted as arrivals, settled, shed or retried.
+inline constexpr workload::RequestId kHedgeIdBit = 1ull << 63;
+
+/// What a driver of HybridServer hears while a run happens — the serve
+/// layer journals and samples queue depth through it. Hooks fire in
+/// dispatch order at the current simulated instant; the engine never reads
+/// anything back, so a listener cannot change a run.
+class RunListener {
+ public:
+  virtual ~RunListener() = default;
+
+  RunListener() = default;
+  RunListener(const RunListener&) = delete;
+  RunListener& operator=(const RunListener&) = delete;
+
+  /// A request entered the server.
+  virtual void on_arrival(const workload::Request& /*request*/) {}
+  /// A transmission started at `now`; `audience` requests ride it (a pull
+  /// entry's count includes its hedged duplicates).
+  virtual void on_transmission(bool /*push*/, double /*now*/,
+                               catalog::ItemId /*item*/,
+                               std::size_t /*audience*/) {}
+  /// The overload ladder moved.
+  virtual void on_ladder(double /*now*/, resilience::OverloadLevel /*from*/,
+                         resilience::OverloadLevel /*to*/) {}
+  /// drain() engaged; `skipped` expected arrivals will never be injected.
+  virtual void on_drain(double /*now*/, std::uint64_t /*skipped*/) {}
+  /// The pull-queue length, sampled wherever the E[L_pull] integral is
+  /// updated.
+  virtual void on_queue_len(std::size_t /*len*/) {}
+};
 
 /// The paper's hybrid scheduling server (Fig. 1 pseudo-code), simulated
 /// with discrete events.
@@ -66,6 +104,16 @@ namespace pushpull::core {
 ///    every move. Widening temporarily grows the push cutoff, admission
 ///    control rejects the least important class(es) at the uplink.
 ///
+/// One engine, two drivers (DESIGN §9). run(trace) is the batch DES: the
+/// trace streams through des::Simulator until every request has settled.
+/// The serve layer drives the same engine as a live server: accelerated,
+/// run(plan, drain_at, listener) streams its load plan in place and may
+/// drain mid-run; realtime, start_realtime() then advance_to(t) as the wall
+/// clock passes and arrive() for each observed arrival. The live failure
+/// model rides on the patience and fault layers: per-class patience scales
+/// and a patience spike (config.patience_*), hedged duplicates
+/// (config.hedge_after) and the graceful drain().
+///
 /// The server is deterministic given (catalog, population, config, trace);
 /// the fault channel, crash schedule and storm jitter each draw from their
 /// own named stream, so enabling any of them never perturbs the
@@ -73,12 +121,52 @@ namespace pushpull::core {
 /// disabled the output is bit-identical to builds that predate it.
 class HybridServer {
  public:
+  /// Throws std::invalid_argument naming the field on an unusable config:
+  /// cutoff beyond the catalog, warmup outside [0, 1), a non-finite alpha,
+  /// bandwidth demand, patience or total bandwidth, bad patience scales or
+  /// spike, or hedging combined with crashes.
   HybridServer(const catalog::Catalog& cat,
                const workload::ClientPopulation& pop, HybridConfig config);
 
   /// Simulates the full trace and runs until every request is delivered or
   /// blocked, then reports per-class statistics.
   [[nodiscard]] SimResult run(const workload::Trace& trace);
+
+  /// Accelerated drive over `plan` (sorted by arrival), streamed through
+  /// the kernel in place — it must outlive the call. With `drain_at` > 0
+  /// every event strictly before that instant runs first, then drain()
+  /// engages unless the run has already settled. `listener` may be null.
+  [[nodiscard]] SimResult run(std::span<const workload::Request> plan,
+                              double drain_at, RunListener* listener);
+
+  /// Realtime drive: begins a run of `expected` requests that arrive()
+  /// hands in one at a time; finish() ends it.
+  void start_realtime(std::uint64_t expected, RunListener* listener);
+  /// Dispatches, in (time, id) order, every pending event due at or before
+  /// `t`, stopping once the run is done().
+  void advance_to(des::SimTime t);
+  /// A realtime arrival observed at `observed`: events due by then fire
+  /// first. Pacer threads can post out of order, so an arrival observed
+  /// before the engine's clock is stamped with the clock instead.
+  void arrive(workload::Request request, double observed);
+  /// Graceful drain at `at`: admission stops (arrivals not yet injected are
+  /// skipped), broadcasts stop, and the pull side flushes back to back.
+  /// Parked push waiters stay unsettled (SimResult::unsettled).
+  void drain(double at);
+  /// True once every injected request has settled or, while draining, once
+  /// no pull request, retry backoff or transmission remains.
+  [[nodiscard]] bool done() const noexcept;
+  /// Earliest pending event time; des::Simulator::kForever when none.
+  [[nodiscard]] des::SimTime next_event_time() const {
+    return sim_.next_time();
+  }
+  /// Ends a driven run and reports it.
+  [[nodiscard]] SimResult finish();
+
+  /// Routes the engine's trace events into `tracer` while config().obs is
+  /// off — how a driver that owns the observer (the serve layer) sees them.
+  /// A default-constructed Tracer removes it.
+  void set_tracer(obs::Tracer tracer) noexcept { external_trace_ = tracer; }
 
   [[nodiscard]] const HybridConfig& config() const noexcept { return config_; }
 
@@ -92,6 +180,11 @@ class HybridServer {
  private:
   enum class Phase { kPush, kPull };
 
+  /// Resets run-scoped state and schedules the run's opening events: the
+  /// crash schedule, the ladder, `plan`'s arrivals and the first
+  /// transmission. `expected` requests must settle before the run is done.
+  void begin(std::span<const workload::Request> plan, std::uint64_t expected,
+             RunListener* listener);
   void on_arrival(const workload::Request& request);
   void serve_next(bool just_did_push);
   void start_push(double now);
@@ -119,26 +212,40 @@ class HybridServer {
   /// Settles a request removed by admission control.
   void shed_request(const workload::Request& request);
 
+  // --- hedging ------------------------------------------------------------
+
+  [[nodiscard]] bool hedging() const noexcept {
+    return config_.hedge_after > 0.0;
+  }
+  [[nodiscard]] bool is_hedge_dup(const workload::Request& r) const noexcept {
+    return hedging() && (r.id & kHedgeIdBit) != 0;
+  }
+  /// Arms the hedge timer of a request just admitted to the pull queue.
+  void arm_hedge(const workload::Request& request);
+  /// Cancels the hedge timer of a request leaving the pull queue.
+  void disarm_hedge(workload::RequestId request);
+  /// Posts the duplicate — unless the queue is full: the duplicate is an
+  /// optimization, not admitted work, so it never sheds anyone.
+  void on_hedge_fire(const workload::Request& request);
+  /// Drops the duplicate of a primary leaving the pull queue, if any.
+  void remove_hedge_dup(const workload::Request& primary);
+
   // --- resilience layer ---------------------------------------------------
 
   /// Push cutoff currently in force: the configured K plus the ladder's
   /// widen-push boost, clamped to the catalog.
   [[nodiscard]] std::size_t effective_cutoff() const noexcept;
-  /// Pull-queue capacity in force (hard fault cap, or the ladder's soft cap
-  /// at shed-low-priority and above; 0 = unbounded).
+  /// Pull-queue capacity in force: the hard fault cap wins, else the
+  /// ladder's soft cap at shed-low-priority and above (0 = unbounded).
   [[nodiscard]] std::size_t effective_queue_capacity() const noexcept;
   /// Shed policy in force (the ladder forces drop-lowest-priority at
   /// shed-low-priority and above).
   [[nodiscard]] fault::ShedPolicy effective_shed_policy() const noexcept;
-  /// True when the ladder's admission control refuses this class.
+  /// True when the ladder's admission control refuses this class at the
+  /// uplink. Never starves a single-class population; brownout admits only
+  /// the most important class, admission control rejects the least
+  /// important.
   [[nodiscard]] bool uplink_rejected(workload::ClassId cls) const noexcept;
-  /// The ladder's configuration block (the live engine keeps it at a
-  /// different config path; this accessor is what lets the parity regions
-  /// stay token-identical).
-  [[nodiscard]] const resilience::OverloadConfig& overload_config()
-      const noexcept {
-    return config_.resilience.overload;
-  }
 
   /// The server dies: void the in-flight transmission, wipe (cold) or
   /// restore (warm) the queue, storm the lost clients, schedule recovery.
@@ -175,6 +282,8 @@ class HybridServer {
   // Present iff config_.fault.enabled; samples one state transition and one
   // corruption draw per downlink transmission.
   std::optional<fault::GilbertElliottChannel> channel_;
+  // True when the patience spike can fire (factor != 1, duration > 0).
+  bool patience_spike_ = false;
 
   std::vector<std::vector<workload::Request>> push_waiters_;
   // Pending abandonment timers, keyed by request id; a timer is disarmed
@@ -189,7 +298,12 @@ class HybridServer {
   des::SimTime warmup_time_ = 0.0;
   std::uint64_t to_settle_ = 0;
   std::uint64_t settled_ = 0;
+  std::uint64_t arrivals_ = 0;       // requests injected so far
+  des::SimTime end_time_ = 0.0;      // instant the last request settled
+  std::uint64_t retry_pending_ = 0;  // corrupted pulls waiting out a backoff
+  bool draining_ = false;
   bool server_busy_ = false;
+  RunListener* listener_ = nullptr;
   std::uint64_t push_transmissions_ = 0;
   std::uint64_t pull_transmissions_ = 0;
   std::uint64_t blocked_transmissions_ = 0;
@@ -199,6 +313,14 @@ class HybridServer {
   double queue_len_area_ = 0.0;
   des::SimTime queue_len_last_t_ = 0.0;
   std::size_t max_queue_len_ = 0;
+
+  // --- hedging state ------------------------------------------------------
+  // Pending hedge timers per primary, and the primaries whose duplicate is
+  // queued; both stay empty unless hedging().
+  std::unordered_map<workload::RequestId, des::EventId> hedge_timer_;
+  std::unordered_set<workload::RequestId> hedged_;
+  std::uint64_t hedges_posted_ = 0;
+  std::uint64_t hedges_absorbed_ = 0;
 
   // --- resilience state ---------------------------------------------------
   // True while a non-empty crash schedule is in force this run; in-flight
@@ -241,9 +363,10 @@ class HybridServer {
   // write-only from the simulation's perspective: nothing below ever reads
   // observer state, so traced and untraced runs are bit-identical.
   std::unique_ptr<obs::RunObserver> obs_;
-  // Inert (null sink) when obs_ is absent; every emission then costs one
-  // branch.
+  // The observer's tracer, else external_trace_ (inert unless a driver set
+  // one); every emission then costs one branch.
   obs::Tracer trace_;
+  obs::Tracer external_trace_;
   // des kernel counter baselines at run start (the kernel keeps lifetime
   // totals; the report wants this run's deltas).
   std::uint64_t des_scheduled_base_ = 0;

@@ -49,6 +49,15 @@ struct SimResult {
   /// monotonicity invariant; always 0 for a completed run).
   std::uint64_t event_order_violations = 0;
 
+  /// Hedged duplicates posted, and those absorbed by their entry's
+  /// delivery (both zero unless HybridConfig::hedge_after > 0).
+  std::uint64_t hedges_posted = 0;
+  std::uint64_t hedges_absorbed = 0;
+  /// Injected requests still waiting when the run ended, counted from the
+  /// server's structures: zero for a completed run, the parked push waiters
+  /// after HybridServer::drain.
+  std::uint64_t unsettled = 0;
+
   /// Transmissions that actually carried data to clients, corrupted or not
   /// (the server's *throughput* in airtime slots).
   [[nodiscard]] std::uint64_t total_transmissions() const noexcept {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <limits>
@@ -41,6 +42,12 @@ class Simulator {
   explicit Simulator(EventQueueKind kind) : queue_(kind) {}
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
+  /// Time of the earliest pending event, the arrival stream's head
+  /// included; kForever when nothing is pending.
+  [[nodiscard]] SimTime next_time() const {
+    const SimTime arrival = arrivals_left() != 0 ? arrival_time_ : kForever;
+    return queue_.empty() ? arrival : std::min(arrival, queue_.next_time());
+  }
   [[nodiscard]] bool idle() const noexcept {
     return queue_.empty() && arrivals_left() == 0;
   }

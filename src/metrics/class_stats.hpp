@@ -10,8 +10,8 @@ namespace pushpull::metrics {
 
 /// Alias-identical to workload's ClassId. metrics sits below workload in
 /// the layer DAG (tools/detlint/layers.toml), so this header must not
-/// include workload/; the static_assert in core/sched_rules.hpp (which sees
-/// both layers) pins the two aliases together.
+/// include workload/; the static_assert in core/hybrid_server.cpp (which
+/// sees both layers) pins the two aliases together.
 using ClassId = std::uint32_t;
 
 /// Outcome counters and waiting-time statistics for one service class.

@@ -106,7 +106,7 @@ class LwfPolicy final : public PullPolicy {
 class ImportancePolicy final : public PullPolicy {
  public:
   explicit ImportancePolicy(double alpha) : alpha_(alpha) {
-    if (alpha < 0.0 || alpha > 1.0) {
+    if (!(alpha >= 0.0 && alpha <= 1.0)) {  // written so NaN fails too
       throw std::invalid_argument("ImportancePolicy: alpha must be in [0,1]");
     }
   }
@@ -137,7 +137,7 @@ class ImportanceQueueAwarePolicy final : public PullPolicy {
   static constexpr double kMinFactor = 0x1p-256;
 
   explicit ImportanceQueueAwarePolicy(double alpha) : alpha_(alpha) {
-    if (alpha < 0.0 || alpha > 1.0) {
+    if (!(alpha >= 0.0 && alpha <= 1.0)) {  // written so NaN fails too
       throw std::invalid_argument(
           "ImportanceQueueAwarePolicy: alpha must be in [0,1]");
     }

@@ -22,8 +22,8 @@ struct ResumeResult {
   /// The longest valid prefix of the crashed journal (header + salvaged
   /// requests/decisions; `sealed` when the file was actually complete).
   RecoveredRun recovered;
-  /// Report of re-running the recovered prefix through the accelerated
-  /// live engine with the recorded config and seed. A pure function of the
+  /// Report of re-running the recovered prefix through an accelerated
+  /// LiveServer with the recorded config and seed. A pure function of the
   /// recovered bytes, so `pushpull replay` of the resumed journal
   /// reproduces these per-class statistics bit-for-bit.
   ServeReport report;
@@ -31,7 +31,7 @@ struct ResumeResult {
 
 /// Crash recovery: salvages the longest valid prefix of the sv2 journal at
 /// `journal_path` (std::runtime_error when even the header is gone),
-/// re-runs it through the accelerated live engine, and — when `out_path`
+/// re-runs it through an accelerated LiveServer, and — when `out_path`
 /// is non-empty — records the re-run into a fresh *sealed* journal there,
 /// conservation ledger and all.
 [[nodiscard]] ResumeResult resume_from_journal(const std::string& journal_path,

@@ -2,31 +2,159 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "core/sched_rules.hpp"
-#include "fault/shedding.hpp"
 #include "obs/export.hpp"
-#include "rng/exponential.hpp"
-#include "rng/poisson.hpp"
-#include "rng/stream.hpp"
 
 namespace pushpull::serve {
 
 using obs::render_number;
 
-// The parity regions below must be token-identical to HybridServer's; the
-// alias lets both engines spell the shared rules the same way.
-namespace sched_rules = core::sched_rules;
-
 namespace {
 
-[[nodiscard]] bool is_hedge(const workload::Request& r) noexcept {
-  return (r.id & kHedgeIdBit) != 0;
+/// The config, validated on its own and against the catalog and population
+/// it will serve.
+ServeConfig checked(ServeConfig config, const catalog::Catalog& cat,
+                    const workload::ClientPopulation& pop) {
+  config.validate();
+  if (config.num_items != cat.size()) {
+    throw std::invalid_argument(
+        "LiveServer: config.num_items disagrees with the catalog");
+  }
+  if (config.num_classes != pop.num_classes()) {
+    throw std::invalid_argument(
+        "LiveServer: config.num_classes disagrees with the population");
+  }
+  return config;
+}
+
+/// What the driver keeps of a run as the engine reports it: the journal
+/// (arrivals, decisions, ladder moves, the drain), the injected count, and
+/// the pull-queue depth distribution.
+class Journaler final : public core::RunListener {
+ public:
+  explicit Journaler(TraceRecorder* recorder) : recorder_(recorder) {}
+
+  void on_arrival(const workload::Request& request) override {
+    ++arrivals;
+    if (recorder_) recorder_->record_request(request, request.arrival);
+  }
+  void on_transmission(bool push, double now, catalog::ItemId item,
+                       std::size_t audience) override {
+    if (recorder_) recorder_->record_decision(push, now, item, audience);
+  }
+  void on_ladder(double now, resilience::OverloadLevel from,
+                 resilience::OverloadLevel to) override {
+    if (recorder_) {
+      recorder_->record_ladder(now, static_cast<int>(from),
+                               static_cast<int>(to));
+    }
+  }
+  void on_drain(double now, std::uint64_t skipped) override {
+    drained = true;
+    drain_time = now;
+    skipped_arrivals = skipped;
+    if (recorder_) recorder_->record_drain(now, skipped);
+  }
+  void on_queue_len(std::size_t len) override {
+    queue_depth.add(static_cast<double>(len));
+  }
+
+  std::uint64_t arrivals = 0;
+  bool drained = false;
+  double drain_time = 0.0;
+  std::uint64_t skipped_arrivals = 0;
+  obs::QuantileTrack queue_depth;
+
+ private:
+  TraceRecorder* recorder_;
+};
+
+/// Builds the conservation ledger from the engine's counts, machine-checks
+/// it (std::logic_error on any imbalance), seals the journal with it, and
+/// assembles the report.
+ServeReport make_report(const ServeConfig& config,
+                        const core::SimResult& result,
+                        const Journaler& journal, TraceRecorder* recorder) {
+  const metrics::ClassStats agg = result.overall();
+  ConservationLedger ledger;
+  ledger.injected = journal.arrivals;
+  ledger.delivered = agg.served;
+  ledger.timed_out = agg.abandoned;
+  ledger.rejected = agg.rejected;
+  ledger.shed = agg.shed;
+  ledger.lost = agg.lost;
+  ledger.in_flight_at_drain = result.unsettled;
+  if (!journal.drained && ledger.in_flight_at_drain != 0) {
+    throw std::logic_error(
+        "LiveServer: conservation violation — " +
+        std::to_string(ledger.in_flight_at_drain) +
+        " requests still structurally in flight after a completed "
+        "(non-drained) run");
+  }
+  if (!ledger.balanced()) {
+    throw std::logic_error(
+        "LiveServer: conservation violation — ledger does not balance: " +
+        ledger.render_json());
+  }
+  if (agg.blocked != 0) {
+    throw std::logic_error(
+        "LiveServer: conservation violation — the live channel cannot "
+        "block transmissions");
+  }
+  if (recorder) recorder->seal(ledger);
+
+  ServeReport report;
+  report.accelerated = config.accelerated;
+  report.duration = config.duration;
+  report.target_qps = config.target_qps;
+  report.end_time = result.end_time;
+  report.arrivals = journal.arrivals;
+  report.served = agg.served;
+  report.push_transmissions = result.push_transmissions;
+  report.pull_transmissions = result.pull_transmissions;
+  report.achieved_qps =
+      result.end_time > 0.0
+          ? static_cast<double>(journal.arrivals) / result.end_time
+          : 0.0;
+  report.mean_pull_queue_len = result.mean_pull_queue_len;
+  report.max_pull_queue_len = result.max_pull_queue_len;
+  const obs::QuantileTrack& depth = journal.queue_depth;
+  report.queue_depth.name = "pull_queue_len";
+  report.queue_depth.count = depth.moments().count();
+  report.queue_depth.mean = depth.moments().mean();
+  report.queue_depth.min = depth.moments().min();
+  report.queue_depth.max = depth.moments().max();
+  if (report.queue_depth.count > 0) {
+    report.queue_depth.p50 = depth.p50();
+    report.queue_depth.p90 = depth.p90();
+    report.queue_depth.p99 = depth.p99();
+  }
+  report.per_class = result.per_class;
+  report.robust = config.robust();
+  report.timed_out = agg.abandoned;
+  report.retries = agg.retries;
+  report.lost = agg.lost;
+  report.shed = agg.shed;
+  report.rejected = agg.rejected;
+  report.corrupted = agg.corrupted;
+  report.corrupted_push_transmissions = result.corrupted_push_transmissions;
+  report.corrupted_pull_transmissions = result.corrupted_pull_transmissions;
+  report.hedges_posted = result.hedges_posted;
+  report.hedges_absorbed = result.hedges_absorbed;
+  report.ladder_transitions = result.overload_transitions.size();
+  report.overload_transitions = result.overload_transitions;
+  report.max_overload_level = result.max_overload_level;
+  report.drained = journal.drained;
+  report.drain_time = journal.drain_time;
+  report.skipped_arrivals = journal.skipped_arrivals;
+  report.ledger = ledger;
+  return report;
 }
 
 }  // namespace
@@ -34,894 +162,28 @@ namespace {
 LiveServer::LiveServer(const catalog::Catalog& cat,
                        const workload::ClientPopulation& pop,
                        ServeConfig config)
-    : catalog_(&cat),
-      population_(&pop),
-      config_(std::move(config)),
-      demand_eng_(
-          rng::StreamFactory(config_.seed).stream("bandwidth-demand")),
-      patience_eng_(rng::StreamFactory(config_.seed).stream("patience")) {
-  config_.validate();
-  if (config_.num_items != cat.size()) {
-    throw std::invalid_argument(
-        "LiveServer: config.num_items disagrees with the catalog");
-  }
-  if (config_.num_classes != pop.num_classes()) {
-    throw std::invalid_argument(
-        "LiveServer: config.num_classes disagrees with the population");
-  }
-  if (config_.cutoff > 0) {
-    push_sched_ = sched::make_push_scheduler(config_.push_policy, cat,
-                                             config_.cutoff);
-  }
-  pull_policy_ =
-      sched::make_pull_policy(config_.pull_policy, config_.alpha);
-  push_waiters_.resize(cat.size());
-}
-
-void LiveServer::reset_run() {
-  // Same per-run reset discipline as HybridServer::run: fresh named
-  // streams, empty queue/park, zeroed counters — a server value can host
-  // many runs.
-  demand_eng_ = rng::StreamFactory(config_.seed).stream("bandwidth-demand");
-  patience_eng_ = rng::StreamFactory(config_.seed).stream("patience");
-  if (config_.fault.enabled) {
-    channel_.emplace(config_.fault.channel,
-                     rng::StreamFactory(config_.seed).stream("fault-channel"));
-  } else {
-    channel_.reset();
-  }
-  pull_queue_.clear();
-  if (cutoff_boost_ > 0) {
-    // Undo a widen-push left over from the previous run.
-    cutoff_boost_ = 0;
-    push_sched_ = config_.cutoff > 0
-                      ? sched::make_push_scheduler(config_.push_policy,
-                                                   *catalog_, config_.cutoff)
-                      : nullptr;
-  }
-  if (push_sched_) push_sched_->reset();
-  for (auto& waiters : push_waiters_) waiters.clear();
-  collector_ = std::make_unique<metrics::ClassCollector>(
-      population_->num_classes());
-  inflight_.reset();
-  recorder_ = nullptr;
-  seq_ = 0;
-  next_arrival_seq_ = 0;
-  timers_ = {};
-  deadline_seq_.clear();
-  hedge_seq_.clear();
-  hedged_.clear();
-  queued_.clear();
-  retry_count_.clear();
-  retry_pending_ = 0;
-  overload_ = resilience::OverloadController(config_.overload);
-  blocking_ewma_.assign(population_->num_classes(), 0.0);
-  draining_ = false;
-  drain_time_ = 0.0;
-  skipped_arrivals_ = 0;
-  hedges_posted_ = 0;
-  hedges_absorbed_ = 0;
-  ledger_ = ConservationLedger{};
-  to_settle_ = 0;
-  settled_ = 0;
-  arrivals_ = 0;
-  push_transmissions_ = 0;
-  pull_transmissions_ = 0;
-  corrupted_push_transmissions_ = 0;
-  corrupted_pull_transmissions_ = 0;
-  queue_len_area_ = 0.0;
-  queue_len_last_t_ = 0.0;
-  max_queue_len_ = 0;
-  end_time_ = 0.0;
-  queue_depth_ = obs::QuantileTrack{};
-}
-
-void LiveServer::note_queue_len(double now) {
-  queue_len_area_ += static_cast<double>(pull_queue_.total_requests()) *
-                     (now - queue_len_last_t_);
-  queue_len_last_t_ = now;
-  queue_depth_.add(static_cast<double>(pull_queue_.total_requests()));
-}
-
-void LiveServer::settle(double now) {
-  ++settled_;
-  end_time_ = now;
-}
-
-// parity:begin(cutoff-boost, HybridServer=LiveServer)
-std::size_t LiveServer::effective_cutoff() const noexcept {
-  return sched_rules::effective_cutoff(config_.cutoff, cutoff_boost_,
-                                       catalog_->size());
-}
-// parity:end
-
-// parity:begin(overload-soft-cap, HybridServer=LiveServer)
-std::size_t LiveServer::effective_queue_capacity() const noexcept {
-  return sched_rules::effective_queue_capacity(overload_.level(),
-                                               config_.fault.queue_capacity,
-                                               overload_config().capacity_ref);
-}
-
-fault::ShedPolicy LiveServer::effective_shed_policy() const noexcept {
-  return sched_rules::effective_shed_policy(overload_.level(),
-                                            config_.fault.shed_policy);
-}
-// parity:end
-
-// parity:begin(uplink-admission, HybridServer=LiveServer)
-bool LiveServer::uplink_rejected(workload::ClassId cls) const noexcept {
-  return sched_rules::uplink_rejected(overload_.level(), cls,
-                                      population_->num_classes());
-}
-// parity:end
-
-void LiveServer::arm_deadline(const workload::Request& request, double now) {
-  if (config_.mean_deadline <= 0.0) return;
-  // The draw mirrors HybridServer::arm_patience exactly (same stream, same
-  // call order), so plain uniform deadlines replay through the DES
-  // impatience model bit-for-bit. Scales and the spike multiply the drawn
-  // value *after* the draw, keeping stream consumption identical.
-  double deadline =
-      rng::exponential(patience_eng_, 1.0 / config_.mean_deadline);
-  deadline *= config_.deadline_scale_for(request.cls);
-  if (config_.deadline_spike_enabled() &&
-      now >= config_.deadline_spike_start &&
-      now < config_.deadline_spike_start + config_.deadline_spike_duration) {
-    deadline *= config_.deadline_spike_factor;
-  }
-  const std::uint64_t seq = seq_++;
-  deadline_seq_[request.id] = seq;
-  timers_.push(Timer{now + deadline, seq, TimerKind::kDeadline, request});
-}
-
-void LiveServer::disarm_deadline(workload::RequestId id) {
-  if (config_.mean_deadline <= 0.0) return;
-  deadline_seq_.erase(id);  // the heap entry dies lazily at peek_timer()
-}
-
-void LiveServer::remove_hedge_dup(const workload::Request& primary) {
-  if (hedged_.erase(primary.id) == 0) return;
-  // The duplicate rides the same item entry; drop it with its primary.
-  (void)pull_queue_.remove_request(primary.item, primary.id | kHedgeIdBit,
-                                   population_->priority(primary.cls));
-}
-
-void LiveServer::on_deadline_expired(const workload::Request& request,
-                                     double now) {
-  deadline_seq_.erase(request.id);
-  // The ladder's widen-push can move a request between the pull queue and
-  // the push park while its timer is armed, so look in both places rather
-  // than trusting the static cutoff test.
-  bool removed = false;
-  auto& waiters = push_waiters_[request.item];
-  for (auto it = waiters.begin(); it != waiters.end(); ++it) {
-    if (it->id == request.id) {
-      waiters.erase(it);
-      removed = true;
-      break;
-    }
-  }
-  if (!removed) {
-    note_queue_len(now);
-    removed = pull_queue_.remove_request(request.item, request.id,
-                                         population_->priority(request.cls));
-    if (removed) {
-      queued_.erase(request.id);
-      hedge_seq_.erase(request.id);
-      remove_hedge_dup(request);
-    }
-  }
-  if (!removed) {
-    throw std::logic_error(
-        "LiveServer: deadline timer fired for request " +
-        std::to_string(request.id) + " (item " +
-        std::to_string(request.item) +
-        ") that is no longer waiting; timers must be disarmed when a "
-        "request is committed to a transmission or dropped");
-  }
-  retry_count_.erase(request.id);
-  collector_->record_abandoned(request.cls);
-  tracer_.emit<obs::Category::kTimeout>(now, "timeout", request.item,
-                                        request.cls);
-  settle(now);
-}
-
-void LiveServer::arm_hedge(const workload::Request& request, double now) {
-  if (config_.hedge_after <= 0.0) return;
-  if (hedged_.contains(request.id)) return;  // one live duplicate at most
-  const std::uint64_t seq = seq_++;
-  hedge_seq_[request.id] = seq;
-  timers_.push(
-      Timer{now + config_.hedge_after, seq, TimerKind::kHedge, request});
-}
-
-void LiveServer::on_hedge_fire(const workload::Request& request, double now) {
-  hedge_seq_.erase(request.id);
-  // A full queue suppresses the hedge rather than shedding for it — the
-  // duplicate is an optimization, not admitted work.
-  const std::size_t capacity = effective_queue_capacity();
-  if (capacity > 0 && pull_queue_.total_requests() >= capacity) return;
-  note_queue_len(now);
-  workload::Request dup = request;
-  dup.id |= kHedgeIdBit;
-  dup.arrival = now;
-  pull_queue_.add(dup, population_->priority(dup.cls),
-                  catalog_->length(dup.item),
-                  catalog_->probability(dup.item));
-  max_queue_len_ = std::max(max_queue_len_, pull_queue_.total_requests());
-  hedged_.insert(request.id);
-  ++hedges_posted_;
-  tracer_.emit<obs::Category::kRetry>(now, "hedge", request.item,
-                                      request.cls);
-  if (!inflight_) start_next(/*just_did_push=*/true, now);
-}
-
-void LiveServer::shed_one(const workload::Request& request, double now) {
-  retry_count_.erase(request.id);
-  collector_->record_shed(request.cls);
-  settle(now);
-}
-
-bool LiveServer::admit_pull(const workload::Request& request, double now) {
-  const std::size_t capacity = effective_queue_capacity();
-  if (capacity == 0 || pull_queue_.total_requests() < capacity) return true;
-  if (effective_shed_policy() == fault::ShedPolicy::kDropTail) {
-    shed_one(request, now);
-    return false;
-  }
-  // Drop-lowest-priority: sacrifice the least important queued request
-  // (ties prefer the youngest; an arrival no more important than the victim
-  // is the one shed — see fault::LowestPriorityVictim for the exact rule).
-  fault::LowestPriorityVictim<workload::Request> scan;
-  for (const auto& entry : pull_queue_.entries()) {
-    for (const auto& r : entry.pending) {
-      if (is_hedge(r)) continue;  // synthetic duplicates are not shed work
-      scan.consider(r, population_->priority(r.cls), r.id);
-    }
-  }
-  if (scan.arrival_yields_to(population_->priority(request.cls))) {
-    shed_one(request, now);
-    return false;
-  }
-  const workload::Request evicted = *scan.victim();  // copy before mutation
-  disarm_deadline(evicted.id);
-  pull_queue_.remove_request(evicted.item, evicted.id, scan.priority());
-  queued_.erase(evicted.id);
-  hedge_seq_.erase(evicted.id);
-  remove_hedge_dup(evicted);
-  shed_one(evicted, now);
-  return true;
-}
-
-void LiveServer::requeue_pull(const workload::Request& request, double now) {
-  note_queue_len(now);
-  if (admit_pull(request, now)) {
-    pull_queue_.add(request, population_->priority(request.cls),
-                    catalog_->length(request.item),
-                    catalog_->probability(request.item));
-    max_queue_len_ = std::max(max_queue_len_, pull_queue_.total_requests());
-    queued_.insert(request.id);
-    arm_deadline(request, now);
-    arm_hedge(request, now);
-  }
-  if (!inflight_) start_next(/*just_did_push=*/true, now);
-}
-
-void LiveServer::on_ladder_eval(double now) {
-  // Mirrors HybridServer::evaluate_overload; a drained or finished run
-  // stops rescheduling (the DES's early return).
-  if (settled_ == to_settle_ || draining_) return;
-  // parity:begin(ladder-occupancy)
-  const double occupancy = sched_rules::ladder_occupancy(
-      pull_queue_.total_requests(), push_waiters_, config_.cutoff,
-      effective_cutoff(), config_.fault.queue_capacity,
-      overload_config().capacity_ref);
-  const double worst_ewma = sched_rules::worst_blocking_ewma(blocking_ewma_);
-  // parity:end
-  const resilience::OverloadLevel before = overload_.level();
-  const resilience::OverloadLevel after =
-      overload_.update(now, occupancy, worst_ewma);
-  if (after != before) {
-    // The journal stamp precedes the push/pull decisions the new level
-    // causes, so a reader sees transitions in causal order.
-    if (recorder_) {
-      recorder_->record_ladder(now, static_cast<int>(before),
-                               static_cast<int>(after));
-    }
-    apply_overload_level(after, now);
-  }
-  timers_.push(Timer{now + config_.overload.eval_interval, seq_++,
-                     TimerKind::kLadderEval, {}});
-}
-
-void LiveServer::apply_overload_level(resilience::OverloadLevel level,
-                                      double now) {
-  // Shedding policy and soft cap are consulted on the fly by
-  // effective_shed_policy()/effective_queue_capacity(); the only action
-  // with state to migrate is the widen-push cutoff boost.
-  const std::size_t boost =
-      level >= resilience::OverloadLevel::kWidenPush
-          ? config_.overload.cutoff_step
-          : 0;
-  if (boost != cutoff_boost_) apply_cutoff_boost(boost, now);
-}
-
-void LiveServer::apply_cutoff_boost(std::size_t boost, double now) {
-  const std::size_t old_cut = effective_cutoff();
-  cutoff_boost_ = boost;
-  const std::size_t new_cut = effective_cutoff();
-  if (new_cut == old_cut) return;
-  push_sched_ = new_cut > 0 ? sched::make_push_scheduler(config_.push_policy,
-                                                         *catalog_, new_cut)
-                            : nullptr;
-  if (new_cut > old_cut) {
-    // Widened: the hottest pull items now ride the broadcast. Their queued
-    // requests become push waiters; deadline timers stay armed (the client
-    // is still waiting for the same item). Hedge duplicates die here —
-    // broadcast delivery needs no importance boost.
-    note_queue_len(now);
-    for (std::size_t item = old_cut; item < new_cut; ++item) {
-      auto entry = pull_queue_.extract(static_cast<catalog::ItemId>(item));
-      if (!entry.has_value()) continue;
-      for (const auto& r : entry->pending) {
-        if (is_hedge(r)) {
-          hedged_.erase(r.id & ~kHedgeIdBit);
-          continue;
-        }
-        queued_.erase(r.id);
-        hedge_seq_.erase(r.id);
-        push_waiters_[r.item].push_back(r);
-      }
-    }
-  } else {
-    // Shrunk back: parked waiters of de-widened items are pull requests
-    // again and re-enter through admission control.
-    for (std::size_t item = new_cut; item < old_cut; ++item) {
-      std::vector<workload::Request> waiters = std::move(push_waiters_[item]);
-      push_waiters_[item].clear();
-      for (const auto& r : waiters) {
-        disarm_deadline(r.id);
-        requeue_pull(r, now);
-      }
-    }
-  }
-  if (!inflight_ && settled_ < to_settle_ && new_cut > 0 && !draining_) {
-    // A pure-pull server asleep on an empty queue now has a broadcast
-    // program to run.
-    start_next(/*just_did_push=*/true, now);
-  }
-}
-
-void LiveServer::dispatch(const Completion& c) {
-  switch (c.kind) {
-    case CompletionKind::kArrival:
-      handle_arrival(c.request, c.time);
-      return;
-    case CompletionKind::kSlotEnd:
-      complete_slot();
-      return;
-    case CompletionKind::kTimer:
-    case CompletionKind::kShutdown:
-      return;  // horizon/shutdown markers carry no server state change
-  }
-}
-
-void LiveServer::handle_arrival(workload::Request request, double observed) {
-  // The observed stamp *is* the request's arrival from here on: it is what
-  // latency is measured against and what the trace records, so live metrics
-  // and the replay of the recording see the same timeline.
-  request.arrival = observed;
-  ++arrivals_;
-  collector_->record_arrival(request.cls);
-  if (recorder_) recorder_->record_request(request, observed);
-  if (request.item < effective_cutoff()) {
-    // Push item: park until the broadcast program brings it around.
-    push_waiters_[request.item].push_back(request);
-    arm_deadline(request, observed);
-    return;
-  }
-  if (uplink_rejected(request.cls)) {
-    // The ladder's admission control refuses the class at the uplink; the
-    // request never enters server state.
-    collector_->record_rejected(request.cls);
-    settle(observed);
-    return;
-  }
-  note_queue_len(observed);
-  if (!admit_pull(request, observed)) return;  // shed by the bounded queue
-  pull_queue_.add(request, population_->priority(request.cls),
-                  catalog_->length(request.item),
-                  catalog_->probability(request.item));
-  max_queue_len_ = std::max(max_queue_len_, pull_queue_.total_requests());
-  queued_.insert(request.id);
-  arm_deadline(request, observed);
-  arm_hedge(request, observed);
-  if (!inflight_) {
-    // Pure-pull server asleep on an empty queue: this arrival wakes it.
-    start_next(/*just_did_push=*/true, observed);
-  }
-}
-
-void LiveServer::start_next(bool just_did_push, double now) {
-  if (settled_ == to_settle_) {
-    inflight_.reset();
-    return;
-  }
-  if (draining_) {
-    // The flush: pull entries back-to-back, no further broadcasts. Parked
-    // push waiters are in_flight_at_drain by definition.
-    if (!pull_queue_.empty()) {
-      start_pull(now);
-    } else {
-      inflight_.reset();  // idle until a retry backoff matures (or done)
-    }
-    return;
-  }
-  if (effective_cutoff() == 0) {
-    if (pull_queue_.empty()) {
-      inflight_.reset();  // idle until the next arrival wakes us
-      return;
-    }
-    start_pull(now);
-    return;
-  }
-  // parity:begin(push-pull-alternation)
-  // Strict alternation: one pull opportunity after every push.
-  if (just_did_push && !pull_queue_.empty()) {
-    start_pull(now);
-  } else {
-    start_push(now);
-  }
-  // parity:end
-}
-
-void LiveServer::start_push(double now) {
-  // parity:begin(catch-at-start, disarm_patience=disarm_deadline)
-  const catalog::ItemId item = push_sched_->next();
-  // Only clients already parked when the transmission starts catch it.
-  std::vector<workload::Request> catching = std::move(push_waiters_[item]);
-  push_waiters_[item].clear();
-  // Once the item is on air, the waiting clients are committed to it.
-  for (const auto& r : catching) disarm_deadline(r.id);
-  // parity:end
-  if (recorder_) recorder_->record_decision(true, now, item, catching.size());
-  InFlight slot;
-  slot.push = true;
-  slot.item = item;
-  slot.end = now + catalog_->length(item);
-  slot.end_seq = seq_++;  // where the DES schedules the tx-end event
-  slot.pending = std::move(catching);
-  inflight_ = std::move(slot);
-}
-
-void LiveServer::start_pull(double now) {
-  note_queue_len(now);
-  // parity:begin(pull-priority-context)
-  sched::PullContext ctx;
-  ctx.now = now;
-  ctx.expected_queue_len = now > 0.0 ? queue_len_area_ / now : 1.0;
-  // parity:end
-  auto entry = pull_queue_.extract_best(*pull_policy_, ctx);
-  if (!entry.has_value()) {
-    throw std::logic_error(
-        "LiveServer: start_pull on an empty pull queue; start_next must "
-        "only take a pull opportunity while entries are pending");
-  }
-  note_queue_len(now);
-  for (const auto& r : entry->pending) {
-    if (is_hedge(r)) {
-      hedged_.erase(r.id & ~kHedgeIdBit);
-      continue;
-    }
-    disarm_deadline(r.id);
-    queued_.erase(r.id);
-    hedge_seq_.erase(r.id);
-  }
-  // Drawn even though the live channel is unconstrained: consuming the
-  // bandwidth-demand stream identically is what keeps the DES replay of a
-  // recorded run bit-equal to the live run.
-  if (config_.mean_bandwidth_demand > 0.0) {
-    (void)rng::poisson(demand_eng_, config_.mean_bandwidth_demand);
-  }
-  if (config_.overload.enabled) {
-    // The live channel never blocks, so the blocking EWMA only decays —
-    // the same update HybridServer applies with admitted == true.
-    const workload::ClassId cls = sched_rules::owning_class(*entry);
-    blocking_ewma_[cls] *= 1.0 - config_.overload.ewma_alpha;
-  }
-  if (recorder_) {
-    recorder_->record_decision(false, now, entry->item,
-                               entry->pending.size());
-  }
-  InFlight slot;
-  slot.push = false;
-  slot.item = entry->item;
-  slot.end = now + entry->length;
-  slot.end_seq = seq_++;
-  slot.pending = std::move(entry->pending);
-  inflight_ = std::move(slot);
-}
-
-void LiveServer::complete_slot() {
-  if (!inflight_.has_value()) {
-    throw std::logic_error("LiveServer: slot completion with nothing on air");
-  }
-  const double now = inflight_->end;
-  const bool was_push = inflight_->push;
-  const catalog::ItemId item = inflight_->item;
-  (was_push ? push_transmissions_ : pull_transmissions_) += 1;
-  const std::vector<workload::Request> pending = std::move(inflight_->pending);
-  inflight_.reset();
-  const bool corrupted = channel_.has_value() && channel_->corrupts();
-  if (was_push) {
-    if (corrupted) {
-      // A corrupted broadcast needs no re-request: the item comes around
-      // again next cycle, so the waiters just rejoin the (re-armed) park
-      // and their delay grows by one period. Unless the ladder shrank the
-      // item out of the broadcast program while this replica was on air —
-      // then the park would strand them forever (no next cycle, and the
-      // shrink migration can't see passengers of an in-flight slot), so
-      // they are pull requests again and re-enter through admission
-      // control. The wake is left to the start_next below so the slot
-      // decision sees every passenger queued, as the DES does.
-      ++corrupted_push_transmissions_;
-      // parity:begin(corrupt-repark)
-      const bool still_broadcast =
-          sched_rules::repark_after_corruption(item, effective_cutoff());
-      // parity:end
-      for (const auto& r : pending) {
-        collector_->record_corrupted(r.cls);
-        if (still_broadcast) {
-          push_waiters_[item].push_back(r);
-          arm_deadline(r, now);
-          continue;
-        }
-        note_queue_len(now);
-        if (admit_pull(r, now)) {
-          pull_queue_.add(r, population_->priority(r.cls),
-                          catalog_->length(r.item),
-                          catalog_->probability(r.item));
-          max_queue_len_ =
-              std::max(max_queue_len_, pull_queue_.total_requests());
-          queued_.insert(r.id);
-          arm_deadline(r, now);
-          arm_hedge(r, now);
-        }
-      }
-    } else {
-      for (const auto& r : pending) deliver(r, true, now);
-    }
-    start_next(/*just_did_push=*/true, now);
-    return;
-  }
-  if (corrupted) {
-    ++corrupted_pull_transmissions_;
-    for (const auto& r : pending) {
-      if (is_hedge(r)) continue;  // the duplicate dies with the airtime
-      collector_->record_corrupted(r.cls);
-      const std::uint32_t attempt = ++retry_count_[r.id];
-      if (attempt > config_.fault.retry.max_retries) {
-        retry_count_.erase(r.id);
-        collector_->record_lost(r.cls);
-        settle(now);
-        continue;
-      }
-      collector_->record_retry(r.cls);
-      tracer_.emit<obs::Category::kRetry>(now, "retry", r.item, attempt);
-      timers_.push(Timer{now + config_.fault.retry.backoff_delay(attempt),
-                         seq_++, TimerKind::kRetry, r});
-      ++retry_pending_;
-    }
-  } else {
-    for (const auto& r : pending) {
-      if (is_hedge(r)) {
-        ++hedges_absorbed_;
-        continue;
-      }
-      retry_count_.erase(r.id);
-      deliver(r, false, now);
-    }
-  }
-  start_next(/*just_did_push=*/false, now);
-}
-
-void LiveServer::deliver(const workload::Request& r, bool via_push,
-                         double now) {
-  // parity:begin(deliver-at-end, request=r)
-  sched_rules::record_delivery(*collector_, r, now, via_push);
-  // parity:end
-  settle(now);
-}
-
-const LiveServer::Timer* LiveServer::peek_timer() {
-  while (!timers_.empty()) {
-    const Timer& t = timers_.top();
-    bool stale = false;
-    switch (t.kind) {
-      case TimerKind::kDeadline: {
-        const auto it = deadline_seq_.find(t.request.id);
-        stale = it == deadline_seq_.end() || it->second != t.seq;
-        break;
-      }
-      case TimerKind::kHedge: {
-        const auto it = hedge_seq_.find(t.request.id);
-        stale = it == hedge_seq_.end() || it->second != t.seq ||
-                !queued_.contains(t.request.id);
-        break;
-      }
-      case TimerKind::kLadderEval:
-        stale = draining_;
-        break;
-      case TimerKind::kRetry:
-        break;  // never cancelled — the backed-off request must resolve
-    }
-    if (!stale) return &t;
-    timers_.pop();
-  }
-  return nullptr;
-}
-
-void LiveServer::fire_timer(const Timer& timer) {
-  switch (timer.kind) {
-    case TimerKind::kDeadline:
-      on_deadline_expired(timer.request, timer.time);
-      return;
-    case TimerKind::kRetry:
-      --retry_pending_;
-      requeue_pull(timer.request, timer.time);
-      return;
-    case TimerKind::kLadderEval:
-      on_ladder_eval(timer.time);
-      return;
-    case TimerKind::kHedge:
-      on_hedge_fire(timer.request, timer.time);
-      return;
-  }
-}
-
-void LiveServer::advance_to(double now) {
-  while (true) {
-    const Timer* t = peek_timer();
-    const bool slot_due = inflight_.has_value() && inflight_->end <= now;
-    const bool timer_due = t != nullptr && t->time <= now;
-    if (slot_due &&
-        (!timer_due || inflight_->end < t->time ||
-         (inflight_->end == t->time && inflight_->end_seq < t->seq))) {
-      complete_slot();
-      continue;
-    }
-    if (timer_due) {
-      const Timer fired = *t;
-      timers_.pop();
-      fire_timer(fired);
-      continue;
-    }
-    return;
-  }
-}
-
-void LiveServer::engage_drain(double now, std::uint64_t skipped) {
-  draining_ = true;
-  drain_time_ = now;
-  skipped_arrivals_ = skipped;
-  to_settle_ = arrivals_;  // only injected requests can still settle
-  if (recorder_) recorder_->record_drain(now, skipped);
-  tracer_.emit<obs::Category::kDrain>(now, "drain",
-                                      static_cast<std::uint64_t>(skipped));
-}
-
-bool LiveServer::pull_side_drained() const noexcept {
-  return queued_.empty() && retry_pending_ == 0 && !inflight_.has_value();
-}
-
-std::uint64_t LiveServer::structural_in_flight() const noexcept {
-  std::uint64_t waiting = 0;
-  for (const auto& waiters : push_waiters_) waiting += waiters.size();
-  waiting += queued_.size();
-  if (inflight_.has_value()) {
-    for (const auto& r : inflight_->pending) {
-      if (!is_hedge(r)) ++waiting;
-    }
-  }
-  waiting += retry_pending_;
-  return waiting;
-}
-
-void LiveServer::finalize_ledger() {
-  const metrics::ClassStats agg = collector_->aggregate();
-  ledger_ = ConservationLedger{};
-  ledger_.injected = arrivals_;
-  ledger_.delivered = agg.served;
-  ledger_.timed_out = agg.abandoned;
-  ledger_.rejected = agg.rejected;
-  ledger_.shed = agg.shed;
-  ledger_.lost = agg.lost;
-  ledger_.in_flight_at_drain = structural_in_flight();
-  if (!draining_ && ledger_.in_flight_at_drain != 0) {
-    throw std::logic_error(
-        "LiveServer: conservation violation — " +
-        std::to_string(ledger_.in_flight_at_drain) +
-        " requests still structurally in flight after a completed "
-        "(non-drained) run");
-  }
-  if (!ledger_.balanced()) {
-    throw std::logic_error(
-        "LiveServer: conservation violation — ledger does not balance: " +
-        ledger_.render_json());
-  }
-  if (agg.blocked != 0) {
-    throw std::logic_error(
-        "LiveServer: conservation violation — the live channel cannot "
-        "block transmissions");
-  }
-}
-
-ServeReport LiveServer::make_report(const CompletionQueue& queue) const {
-  ServeReport report;
-  report.accelerated = config_.accelerated;
-  report.duration = config_.duration;
-  report.target_qps = config_.target_qps;
-  report.end_time = end_time_;
-  report.arrivals = arrivals_;
-  report.served = collector_->aggregate().served;
-  report.push_transmissions = push_transmissions_;
-  report.pull_transmissions = pull_transmissions_;
-  report.achieved_qps =
-      end_time_ > 0.0 ? static_cast<double>(arrivals_) / end_time_ : 0.0;
-  report.mean_pull_queue_len =
-      end_time_ > 0.0 ? queue_len_area_ / end_time_ : 0.0;
-  report.max_pull_queue_len = max_queue_len_;
-  report.queue_depth.name = "pull_queue_len";
-  report.queue_depth.count = queue_depth_.moments().count();
-  report.queue_depth.mean = queue_depth_.moments().mean();
-  report.queue_depth.min = queue_depth_.moments().min();
-  report.queue_depth.max = queue_depth_.moments().max();
-  if (report.queue_depth.count > 0) {
-    report.queue_depth.p50 = queue_depth_.p50();
-    report.queue_depth.p90 = queue_depth_.p90();
-    report.queue_depth.p99 = queue_depth_.p99();
-  }
-  report.cq_posted = queue.posted();
-  report.cq_high_water = queue.high_water();
-  report.per_class = collector_->all();
-  report.robust = config_.robust();
-  const metrics::ClassStats agg = collector_->aggregate();
-  report.timed_out = agg.abandoned;
-  report.retries = agg.retries;
-  report.lost = agg.lost;
-  report.shed = agg.shed;
-  report.rejected = agg.rejected;
-  report.corrupted = agg.corrupted;
-  report.corrupted_push_transmissions = corrupted_push_transmissions_;
-  report.corrupted_pull_transmissions = corrupted_pull_transmissions_;
-  report.hedges_posted = hedges_posted_;
-  report.hedges_absorbed = hedges_absorbed_;
-  report.ladder_transitions = overload_.transitions().size();
-  // parity:begin(overload-transition-export, result=report)
-  sched_rules::export_overload(report, overload_);
-  // parity:end
-  report.drained = draining_;
-  report.drain_time = drain_time_;
-  report.skipped_arrivals = skipped_arrivals_;
-  report.ledger = ledger_;
-  return report;
-}
+    : config_(checked(std::move(config), cat, pop)),
+      engine_(cat, pop, config_.hybrid()) {}
 
 ServeReport LiveServer::run_accelerated(LoadDriver& driver,
                                         TraceRecorder* recorder) {
-  reset_run();
-  recorder_ = recorder;
-  to_settle_ = driver.remaining();
-  CompletionQueue queue(config_.queue_capacity);
-  VirtualClock clock;
-  // Sequence numbering mirrors the DES id assignment order in
-  // HybridServer::run: first ladder eval, then the arrivals, then the
-  // initial serve_next at t=0, then dispatch-time schedules.
-  if (config_.overload.enabled) {
-    timers_.push(Timer{config_.overload.eval_interval, seq_++,
-                       TimerKind::kLadderEval, {}});
-  }
-  next_arrival_seq_ = seq_;
-  seq_ += to_settle_;
-  if (config_.cutoff > 0 && to_settle_ > 0) {
-    ++seq_;  // the DES serve_next event at t=0
-    start_next(/*just_did_push=*/true, 0.0);
-  }
-  while (true) {
-    if (!draining_ && settled_ == to_settle_) break;
-    if (draining_ && pull_side_drained()) break;
-    // Candidate selection: the minimum (time, seq) among the next planned
-    // arrival, the in-flight transmission end and the timer-heap top —
-    // exactly the DES heap's pop order.
-    const workload::Request* next = draining_ ? nullptr : driver.peek();
-    const Timer* timer = peek_timer();
-    double best_time = 0.0;
-    std::uint64_t best_seq = 0;
-    int which = -1;  // 0 = arrival, 1 = slot end, 2 = timer
-    if (next != nullptr) {
-      best_time = next->arrival;
-      best_seq = next_arrival_seq_;
-      which = 0;
-    }
-    if (inflight_.has_value() &&
-        (which < 0 || inflight_->end < best_time ||
-         (inflight_->end == best_time && inflight_->end_seq < best_seq))) {
-      best_time = inflight_->end;
-      best_seq = inflight_->end_seq;
-      which = 1;
-    }
-    if (timer != nullptr &&
-        (which < 0 || timer->time < best_time ||
-         (timer->time == best_time && timer->seq < best_seq))) {
-      best_time = timer->time;
-      best_seq = timer->seq;
-      which = 2;
-    }
-    if (which < 0) {
-      throw std::logic_error(
-          "LiveServer: stalled — plan exhausted and server idle while "
-          "requests remain unsettled");
-    }
-    if (config_.drain_after > 0.0 && !draining_ &&
-        best_time >= config_.drain_after) {
-      // The run crosses the drain instant before its next event: stop
-      // admission there and re-select without the remaining arrivals.
-      engage_drain(config_.drain_after, driver.remaining());
-      continue;
-    }
-    if (which == 2) {
-      const Timer fired = *timer;
-      timers_.pop();
-      clock.advance_to(fired.time);
-      fire_timer(fired);
-      continue;
-    }
-    Completion c;
-    if (which == 0) {
-      c.kind = CompletionKind::kArrival;
-      c.time = next->arrival;
-      c.request = driver.take();
-      ++next_arrival_seq_;
-    } else {
-      c.kind = CompletionKind::kSlotEnd;
-      c.time = inflight_->end;
-    }
-    if (!queue.try_post(c)) {
-      throw std::logic_error(
-          "LiveServer: completion queue rejected a post in accelerated "
-          "mode (queue_capacity must admit the strictly alternating "
-          "post/pop pattern)");
-    }
-    const std::optional<Completion> popped = queue.pop(0.0);
-    clock.advance_to(popped->time);
-    dispatch(*popped);
-  }
-  note_queue_len(std::max(end_time_, drain_time_));
-  finalize_ledger();
-  if (recorder_) recorder_->seal(ledger_);
-  return make_report(queue);
+  Journaler journal(recorder);
+  const std::span<const workload::Request> plan =
+      driver.plan().requests().subspan(driver.plan().size() -
+                                       driver.remaining());
+  const core::SimResult result =
+      engine_.run(plan, config_.drain_after, &journal);
+  return make_report(config_, result, journal, recorder);
 }
 
 ServeReport LiveServer::run_realtime(CompletionQueue& queue, Clock& clock,
                                      std::uint64_t planned,
                                      TraceRecorder* recorder) {
-  reset_run();
-  recorder_ = recorder;
-  to_settle_ = planned;
-  const std::uint64_t planned_total = planned;
+  Journaler journal(recorder);
+  engine_.start_realtime(planned, &journal);
   bool load_done = false;
-  if (config_.overload.enabled) {
-    timers_.push(Timer{config_.overload.eval_interval, seq_++,
-                       TimerKind::kLadderEval, {}});
-  }
-  if (config_.cutoff > 0 && to_settle_ > 0) {
-    ++seq_;
-    start_next(/*just_did_push=*/true, 0.0);
-  }
-  while (true) {
-    if (!draining_ && settled_ == to_settle_) break;
-    if (draining_ && pull_side_drained()) break;
-    if (!draining_) {
+  while (!engine_.done()) {
+    if (!journal.drained) {
       const bool external =
           drain_flag_ != nullptr &&
           drain_flag_->load(std::memory_order_relaxed);
@@ -931,61 +193,44 @@ ServeReport LiveServer::run_realtime(CompletionQueue& queue, Clock& clock,
         const double at = horizon && !external
                               ? config_.drain_after
                               : clock.now();
-        advance_to(at);
-        engage_drain(at, planned_total - arrivals_);
+        engine_.advance_to(at);
+        engine_.drain(at);
         continue;
       }
     }
     if (!load_done) {
-      double timeout = 0.05;
-      if (inflight_) {
-        timeout = std::min(timeout, clock.seconds_until(inflight_->end));
-      }
-      if (const Timer* t = peek_timer()) {
-        timeout = std::min(timeout, clock.seconds_until(t->time));
-      }
-      const std::optional<Completion> c =
-          queue.pop(std::max(timeout, 0.0));
+      const double timeout =
+          std::min(0.05, clock.seconds_until(engine_.next_event_time()));
+      const std::optional<Completion> c = queue.pop(std::max(timeout, 0.0));
       if (c.has_value()) {
-        if (c->kind == CompletionKind::kArrival) {
-          // Order against the logical timeline: slots and timers due
-          // before this arrival's stamp fire first, so the arrival can
-          // only be delivered by a transmission ending after it was
-          // observed.
-          advance_to(c->time);
-          if (!draining_) {
-            handle_arrival(c->request, c->time);
-          }
-          // A drained loop discards late arrivals: they are part of the
-          // skipped count stamped at engagement.
+        // The engine runs up to the arrival's observed stamp first, so the
+        // arrival can only ride a transmission that starts after it was
+        // observed. A drained loop discards late arrivals: they are part
+        // of the skipped count stamped at engagement.
+        if (c->kind == CompletionKind::kArrival && !journal.drained) {
+          engine_.arrive(c->request, c->time);
         }
       } else if (queue.closed() && queue.depth() == 0) {
         load_done = true;
       }
-    } else if (inflight_ || peek_timer() != nullptr) {
-      // Drain phase: no more producers; pace out the remaining work.
-      double next_at = std::numeric_limits<double>::infinity();
-      if (inflight_) next_at = inflight_->end;
-      if (const Timer* t = peek_timer()) {
-        next_at = std::min(next_at, t->time);
-      }
-      const double budget = clock.seconds_until(next_at);
+    } else if (engine_.next_event_time() < des::Simulator::kForever) {
+      // No more producers: pace out the remaining work.
+      const double budget = clock.seconds_until(engine_.next_event_time());
       if (budget > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(budget));
       }
-    } else if (draining_) {
-      break;  // nothing on air, nothing queued, nothing pending
     } else {
       throw std::logic_error(
           "LiveServer: stalled — load ended and server idle while "
           "requests remain unsettled");
     }
-    advance_to(clock.now());
+    engine_.advance_to(clock.now());
   }
-  note_queue_len(std::max(end_time_, drain_time_));
-  finalize_ledger();
-  if (recorder_) recorder_->seal(ledger_);
-  return make_report(queue);
+  ServeReport report =
+      make_report(config_, engine_.finish(), journal, recorder);
+  report.cq_posted = queue.posted();
+  report.cq_high_water = queue.high_water();
+  return report;
 }
 
 std::string render_serve_report(const ServeReport& report) {

@@ -2,24 +2,15 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <optional>
-#include <queue>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "catalog/catalog.hpp"
-#include "core/pull_queue.hpp"
-#include "fault/channel.hpp"
+#include "core/hybrid_server.hpp"
 #include "metrics/class_stats.hpp"
 #include "obs/observer.hpp"
 #include "obs/trace.hpp"
 #include "resilience/overload.hpp"
-#include "rng/xoshiro256ss.hpp"
-#include "sched/pull/policy.hpp"
-#include "sched/push/push_scheduler.hpp"
 #include "serve/clock.hpp"
 #include "serve/completion_queue.hpp"
 #include "serve/journal.hpp"
@@ -29,12 +20,6 @@
 #include "workload/population.hpp"
 
 namespace pushpull::serve {
-
-/// Bit marking a synthetic hedged duplicate's request id. Hedge duplicates
-/// live only inside the pull queue: they boost their item entry's
-/// aggregate importance, are absorbed silently at delivery, and never
-/// appear in the journal or the conservation ledger.
-inline constexpr workload::RequestId kHedgeIdBit = 1ull << 63;
 
 /// What one live run produced. Every field is a pure function of the
 /// processed event sequence, so an accelerated run's rendered report is
@@ -56,7 +41,8 @@ struct ServeReport {
   std::size_t max_pull_queue_len = 0;
   /// Pull-queue depth distribution, sampled at every queue transition.
   obs::QuantileSummary queue_depth;
-  /// Completion-queue telemetry: events accepted + deepest backlog.
+  /// Completion-queue telemetry: events accepted + deepest backlog (zero
+  /// for accelerated runs, which stream the plan without a queue).
   std::uint64_t cq_posted = 0;
   std::size_t cq_high_water = 0;
   std::vector<metrics::ClassStats> per_class;
@@ -94,51 +80,32 @@ struct ServeReport {
 /// bench/serve_qps, bench/serve_chaos and the reproducibility tests.
 [[nodiscard]] std::string render_serve_report(const ServeReport& report);
 
-/// core::HybridServer's scheduling rules, driven by a completion-queue
-/// event loop instead of the DES kernel.
+/// The live serving driver around core::HybridServer (DESIGN §9). The
+/// engine makes every scheduling decision — push/pull alternation,
+/// admission and shedding, deadlines, retries, hedges, the overload ladder,
+/// the drain's flush. This class only feeds it arrivals and time, journals
+/// what it hears through a core::RunListener, and turns the engine's counts
+/// into a ServeReport with a machine-checked conservation ledger.
 ///
-/// The scheduling mirror is exact for the deterministic subset ServeConfig
-/// exposes: strict push/pull alternation (one pull opportunity after every
-/// push), items [0, cutoff) broadcast cyclically with requests parked until
-/// the item comes around, pull requests aggregated per item and extracted
-/// by the configured policy, only requests present at transmission *start*
-/// catching it, delivery at transmission *end*, a pure-pull server idling
-/// on an empty queue until an arrival wakes it, and the same
-/// time-weighted queue-length integral feeding the Eq. 6 policy's
-/// E[L_pull]. Even the Poisson bandwidth-demand stream is consumed
-/// identically, so an accelerated run and the DES replay of its own
-/// recorded trace agree on every per-class statistic bit-for-bit.
-///
-/// The live failure model (DESIGN §10) extends the mirror with the DES
-/// ordering discipline intact: every schedulable action — arrival,
-/// transmission end, deadline expiry, retry requeue, ladder evaluation,
-/// hedge — carries a (time, seq) pair assigned exactly where the DES
-/// kernel would assign an event id, and the loop always dispatches the
-/// minimum. Deadlines mirror the DES impatience model draw for draw (the
-/// differential test in tests/test_serve_robustness.cpp), corruption and
-/// retry mirror the fault layer, and the overload ladder mirrors
-/// resilience::OverloadController wiring. Timer cancellation is lazy
-/// (stale entries are skipped at the heap top), matching des::EventQueue.
-///
-/// Both run modes dispatch through the same CompletionQueue path; they
-/// differ only in who produces events and how time advances:
-///  * run_accelerated — single-threaded; the loop itself posts each planned
-///    arrival / slot completion and advances a VirtualClock, so the run is
-///    a pure function of the seed;
-///  * run_realtime — pacer threads post wall-stamped arrivals; the loop
-///    completes slots and fires timers as the wall clock passes their
-///    logical times. Arrival stamps are observed (skew is real and
-///    recorded); slot ends chain logically so airtime accounting stays
-///    exact. SIGTERM (via set_drain_flag) or drain_after triggers the
-///    graceful drain: admission stops, the pull side flushes, the journal
-///    seals with the conservation ledger.
+///  * run_accelerated — single-threaded: the driver's plan streams through
+///    the engine's event kernel in place, so the run is a pure function of
+///    the seed, and `pushpull replay` of its journal re-runs the same engine
+///    over the same requests bit-for-bit;
+///  * run_realtime — pacer threads post wall-stamped arrivals to the
+///    completion queue; the loop runs the engine up to each arrival's
+///    observed stamp before handing it in, and between arrivals up to the
+///    wall clock, so transmissions end as the wall passes their logical
+///    ends. Arrival skew is real and recorded. SIGTERM (via set_drain_flag)
+///    or drain_after triggers the graceful drain: admission stops, the pull
+///    side flushes, the journal seals with the conservation ledger.
 class LiveServer {
  public:
   LiveServer(const catalog::Catalog& cat,
              const workload::ClientPopulation& pop, ServeConfig config);
 
-  /// Drains the driver's whole plan on a virtual clock. `recorder` (may be
-  /// null) receives every dispatched arrival and scheduling decision.
+  /// Runs the driver's untaken plan on the engine's virtual clock.
+  /// `recorder` (may be null) receives every arrival and scheduling
+  /// decision.
   [[nodiscard]] ServeReport run_accelerated(LoadDriver& driver,
                                             TraceRecorder* recorder);
 
@@ -150,9 +117,9 @@ class LiveServer {
                                          std::uint64_t planned,
                                          TraceRecorder* recorder);
 
-  /// Optional trace hook for the live-only categories (timeout / retry /
-  /// drain). A default-constructed tracer is inert.
-  void set_tracer(const obs::Tracer& tracer) { tracer_ = tracer; }
+  /// Optional trace hook for the engine's events (transmissions, queue,
+  /// fault, ladder, hedge, drain). A default-constructed tracer is inert.
+  void set_tracer(const obs::Tracer& tracer) { engine_.set_tracer(tracer); }
 
   /// Installs the external drain request flag (SIGTERM handler target).
   /// Polled by run_realtime; null disables.
@@ -161,141 +128,9 @@ class LiveServer {
   }
 
  private:
-  /// One transmission on air. `pending` is the committed audience (push:
-  /// the waiters caught at start; pull: the extracted entry's requests).
-  struct InFlight {
-    bool push = true;
-    catalog::ItemId item = 0;
-    double end = 0.0;
-    std::uint64_t end_seq = 0;  // the DES id of the transmission-end event
-    std::vector<workload::Request> pending;
-  };
-
-  enum class TimerKind : std::uint8_t {
-    kDeadline,    ///< per-request deadline expiry (DES impatience mirror)
-    kRetry,       ///< backed-off re-request after a corrupted pull
-    kLadderEval,  ///< periodic overload-controller evaluation
-    kHedge,       ///< hedged re-request check for a still-queued request
-  };
-
-  struct Timer {
-    double time = 0.0;
-    std::uint64_t seq = 0;
-    TimerKind kind = TimerKind::kDeadline;
-    workload::Request request{};
-  };
-
-  struct TimerAfter {
-    bool operator()(const Timer& a, const Timer& b) const noexcept {
-      return a.time != b.time ? a.time > b.time : a.seq > b.seq;
-    }
-  };
-
-  void reset_run();
-  void dispatch(const Completion& c);
-  void handle_arrival(workload::Request request, double observed);
-  void start_next(bool just_did_push, double now);
-  void start_push(double now);
-  void start_pull(double now);
-  void complete_slot();
-  void deliver(const workload::Request& r, bool via_push, double now);
-  void note_queue_len(double now);
-  void settle(double now);
-
-  // --- failure-model mirrors ----------------------------------------------
-  void arm_deadline(const workload::Request& request, double now);
-  void disarm_deadline(workload::RequestId id);
-  void on_deadline_expired(const workload::Request& request, double now);
-  void arm_hedge(const workload::Request& request, double now);
-  void on_hedge_fire(const workload::Request& request, double now);
-  void on_ladder_eval(double now);
-  void apply_overload_level(resilience::OverloadLevel level, double now);
-  void apply_cutoff_boost(std::size_t boost, double now);
-  [[nodiscard]] bool admit_pull(const workload::Request& request, double now);
-  void shed_one(const workload::Request& request, double now);
-  void requeue_pull(const workload::Request& request, double now);
-  void remove_hedge_dup(const workload::Request& primary);
-  [[nodiscard]] std::size_t effective_cutoff() const noexcept;
-  [[nodiscard]] std::size_t effective_queue_capacity() const noexcept;
-  [[nodiscard]] fault::ShedPolicy effective_shed_policy() const noexcept;
-  [[nodiscard]] bool uplink_rejected(workload::ClassId cls) const noexcept;
-  /// The ladder's configuration block (the DES engine keeps it at a
-  /// different config path; this accessor is what lets the parity regions
-  /// stay token-identical).
-  [[nodiscard]] const resilience::OverloadConfig& overload_config()
-      const noexcept {
-    return config_.overload;
-  }
-
-  // --- event plumbing -----------------------------------------------------
-  /// Top of the timer heap with stale (lazily cancelled) entries skipped;
-  /// nullptr when no live timer is pending.
-  [[nodiscard]] const Timer* peek_timer();
-  void fire_timer(const Timer& timer);
-  /// Fires, in (time, seq) order, every due timer and slot completion up to
-  /// `now` (the realtime advance path).
-  void advance_to(double now);
-  void engage_drain(double now, std::uint64_t skipped);
-  [[nodiscard]] bool pull_side_drained() const noexcept;
-  /// Requests injected but not yet settled, counted structurally (push
-  /// park + real queued requests + committed in-flight + retry backoffs).
-  [[nodiscard]] std::uint64_t structural_in_flight() const noexcept;
-  /// Builds the ledger and machine-checks the conservation identity
-  /// (throws std::logic_error on any imbalance).
-  void finalize_ledger();
-  [[nodiscard]] ServeReport make_report(const CompletionQueue& queue) const;
-
-  const catalog::Catalog* catalog_;
-  const workload::ClientPopulation* population_;
   ServeConfig config_;
-
-  core::PullQueue pull_queue_;
-  std::unique_ptr<sched::PushScheduler> push_sched_;
-  std::unique_ptr<sched::PullPolicy> pull_policy_;
-  rng::Xoshiro256ss demand_eng_;
-  rng::Xoshiro256ss patience_eng_;
-  std::optional<fault::GilbertElliottChannel> channel_;
-  std::vector<std::vector<workload::Request>> push_waiters_;
-  std::unique_ptr<metrics::ClassCollector> collector_;
-  std::optional<InFlight> inflight_;
-  TraceRecorder* recorder_ = nullptr;
-  obs::Tracer tracer_;
+  core::HybridServer engine_;
   const std::atomic<bool>* drain_flag_ = nullptr;
-
-  // Event-ordering mirror of the DES id counter.
-  std::uint64_t seq_ = 0;
-  std::uint64_t next_arrival_seq_ = 0;
-  std::priority_queue<Timer, std::vector<Timer>, TimerAfter> timers_;
-  std::unordered_map<workload::RequestId, std::uint64_t> deadline_seq_;
-  std::unordered_map<workload::RequestId, std::uint64_t> hedge_seq_;
-  std::unordered_set<workload::RequestId> hedged_;  // primaries with live dup
-  std::unordered_set<workload::RequestId> queued_;  // real ids in pull queue
-  std::unordered_map<workload::RequestId, std::uint32_t> retry_count_;
-  std::uint64_t retry_pending_ = 0;  // kRetry timers not yet fired
-
-  resilience::OverloadController overload_;
-  std::vector<double> blocking_ewma_;
-  std::size_t cutoff_boost_ = 0;
-
-  bool draining_ = false;
-  double drain_time_ = 0.0;
-  std::uint64_t skipped_arrivals_ = 0;
-  std::uint64_t hedges_posted_ = 0;
-  std::uint64_t hedges_absorbed_ = 0;
-  ConservationLedger ledger_;
-
-  std::uint64_t to_settle_ = 0;
-  std::uint64_t settled_ = 0;
-  std::uint64_t arrivals_ = 0;
-  std::uint64_t push_transmissions_ = 0;
-  std::uint64_t pull_transmissions_ = 0;
-  std::uint64_t corrupted_push_transmissions_ = 0;
-  std::uint64_t corrupted_pull_transmissions_ = 0;
-  double queue_len_area_ = 0.0;
-  double queue_len_last_t_ = 0.0;
-  std::size_t max_queue_len_ = 0;
-  double end_time_ = 0.0;
-  obs::QuantileTrack queue_depth_;
 };
 
 }  // namespace pushpull::serve

@@ -8,45 +8,10 @@
 #include "rng/splitmix64.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/thread_pool.hpp"
-#include "serve/live_server.hpp"
-#include "serve/load_driver.hpp"
 
 namespace pushpull::serve {
 
 using obs::render_number;
-
-namespace {
-
-/// Replays a recording whose config escapes the DES-mappable subset
-/// (deadline scales, spikes, fault channel, ladder, hedging, drain):
-/// re-runs the live engine itself, accelerated, over the recorded trace.
-/// Deterministic for the same reason the original run was — the
-/// accelerated loop is a pure function of (trace, config, seed).
-core::SimResult live_replay(const catalog::Catalog& cat,
-                            const workload::ClientPopulation& pop,
-                            const RecordedRun& run, std::uint64_t seed) {
-  ServeConfig config = run.config;
-  config.accelerated = true;
-  config.seed = seed;
-  LoadDriver driver(run.trace());
-  LiveServer server(cat, pop, config);
-  const ServeReport report = server.run_accelerated(driver, nullptr);
-
-  core::SimResult result;
-  result.per_class = report.per_class;
-  result.end_time = report.end_time;
-  result.push_transmissions = report.push_transmissions;
-  result.pull_transmissions = report.pull_transmissions;
-  result.corrupted_push_transmissions = report.corrupted_push_transmissions;
-  result.corrupted_pull_transmissions = report.corrupted_pull_transmissions;
-  result.mean_pull_queue_len = report.mean_pull_queue_len;
-  result.max_pull_queue_len = report.max_pull_queue_len;
-  result.overload_transitions = report.overload_transitions;
-  result.max_overload_level = report.max_overload_level;
-  return result;
-}
-
-}  // namespace
 
 std::vector<core::SimResult> replay(const RecordedRun& run,
                                     const ReplayOptions& options) {
@@ -56,7 +21,6 @@ std::vector<core::SimResult> replay(const RecordedRun& run,
   const catalog::Catalog cat = run.config.build_catalog();
   const workload::ClientPopulation pop = run.config.build_population();
   const workload::Trace trace = run.trace();
-  const bool live = !run.config.des_mappable();
 
   auto run_one = [&](std::size_t rep) -> core::SimResult {
     // Same decorrelation idiom as exp::replicate_hybrid — but only the
@@ -65,11 +29,13 @@ std::vector<core::SimResult> replay(const RecordedRun& run,
     const std::uint64_t seed =
         rep > 0 ? rng::SplitMix64::mix(run.config.seed + rep)
                 : run.config.seed;
-    if (live) return live_replay(cat, pop, run, seed);
     core::HybridConfig config = run.config.hybrid();
     config.seed = seed;
     core::HybridServer server(cat, pop, config);
-    return server.run(trace);
+    // A drained recording holds only the arrivals admitted before the
+    // drain, so the engine drains at the same instant with nothing left to
+    // skip.
+    return server.run(trace.requests(), run.config.drain_after, nullptr);
   };
 
   if (options.jobs == 1 || options.reps == 1) {
@@ -89,7 +55,6 @@ std::string render_replay_report(const RecordedRun& run,
       << ",\"alpha\":" << render_number(run.config.alpha)
       << ",\"pull_policy\":\"" << sched::to_string(run.config.pull_policy)
       << "\",\"push_policy\":\"" << sched::to_string(run.config.push_policy)
-      << "\",\"engine\":\"" << (run.config.des_mappable() ? "des" : "live")
       << "\"}\n";
   for (std::size_t rep = 0; rep < results.size(); ++rep) {
     const core::SimResult& r = results[rep];

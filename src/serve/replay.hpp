@@ -24,15 +24,12 @@ struct ReplayOptions {
   std::size_t jobs = 1;
 };
 
-/// Feeds a recorded live run back through a deterministic engine. Configs
-/// inside the DES-mappable subset (ServeConfig::des_mappable) rebuild the
-/// catalog, population and HybridConfig from the trace header and run
-/// core::HybridServer over the recorded request sequence; configs using
-/// the live failure model (deadline scaling/spikes, fault channel, ladder,
-/// hedging, drain) re-run the accelerated live engine itself, which is the
-/// only engine that implements those semantics. Either way the whole
-/// pipeline is a pure function of the file's bytes — replaying the same
-/// trace twice is byte-identical, which is what extends the repo's
+/// Feeds a recorded live run back through the engine that served it:
+/// rebuilds the catalog, population and HybridConfig (the whole failure
+/// model included) from the trace header and runs core::HybridServer over
+/// the recorded request sequence, draining at the recorded drain_after.
+/// The pipeline is a pure function of the file's bytes — replaying the
+/// same trace twice is byte-identical, which is what extends the repo's
 /// goldens, invariants and obs tooling to live runs. Results come back in
 /// rep order.
 [[nodiscard]] std::vector<core::SimResult> replay(

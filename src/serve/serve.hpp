@@ -7,17 +7,16 @@
 ///
 ///   clock.hpp            serve::Clock — the fenced time source (virtual +
 ///                        wall backends; wall reads only in clock.cpp)
-///   completion_queue.hpp bounded MPSC queue feeding server ticks
+///   completion_queue.hpp bounded MPSC queue feeding realtime arrivals
 ///   serve_config.hpp     one run's workload/scheduler/serving knobs plus
 ///                        the live failure model
 ///   load_driver.hpp      seeded open-loop load, planned upfront
 ///   journal.hpp          sv2 framed journal: conservation ledger, length
 ///                        prefixes, truncation-exact scanning, fsync sink
 ///   record.hpp           sv1/sv2 trace codec + crash recovery
-///   live_server.hpp      the completion-queue event loop around the
-///                        HybridServer scheduling rules
-///   replay.hpp           recorded trace → deterministic engine (DES or
-///                        live), bit-exact
+///   live_server.hpp      the driver: runs core::HybridServer accelerated
+///                        or on the wall clock, journals, reports
+///   replay.hpp           recorded trace → the same engine, bit-exact
 ///   chaos.hpp            serve --resume / --chaos: journal recovery and
 ///                        the seeded kill/recover/resume/replay harness
 #include "serve/chaos.hpp"             // IWYU pragma: export

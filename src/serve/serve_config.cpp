@@ -5,7 +5,6 @@
 #include <string>
 
 #include "catalog/length_model.hpp"
-#include "metrics/float_compare.hpp"
 
 namespace pushpull::serve {
 
@@ -102,16 +101,6 @@ bool ServeConfig::robust() const noexcept {
          hedge_after > 0.0 || drain_after > 0.0;
 }
 
-bool ServeConfig::des_mappable() const noexcept {
-  if (fault.active() || overload.enabled) return false;
-  if (hedge_after > 0.0 || drain_after > 0.0) return false;
-  if (deadline_spike_enabled()) return false;
-  for (const double s : deadline_scale) {
-    if (!metrics::exactly_equal(s, 1.0)) return false;
-  }
-  return true;
-}
-
 core::HybridConfig ServeConfig::hybrid() const {
   core::HybridConfig config;
   config.cutoff = cutoff;
@@ -120,6 +109,11 @@ core::HybridConfig ServeConfig::hybrid() const {
   config.push_policy = push_policy;
   config.mean_bandwidth_demand = mean_bandwidth_demand;
   config.mean_patience = mean_deadline > 0.0 ? mean_deadline : 0.0;
+  config.patience_scale = deadline_scale;
+  config.patience_spike_factor = deadline_spike_factor;
+  config.patience_spike_start = deadline_spike_start;
+  config.patience_spike_duration = deadline_spike_duration;
+  config.hedge_after = hedge_after;
   config.fault = fault;
   config.resilience.overload = overload;
   config.seed = seed;

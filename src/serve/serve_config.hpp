@@ -21,15 +21,11 @@ namespace pushpull::serve {
 /// and the live failure model (DESIGN §10).
 ///
 /// Robustness defaults are inert: with deadlines, faults, the ladder,
-/// hedging and drain all off, the live loop derives no extra streams and
-/// schedules no timers, so an accelerated run's per-class statistics match
-/// its own DES replay bit-for-bit (the differential test in
-/// tests/test_serve.cpp). With only `mean_deadline` enabled the run is
-/// still DES-mappable — deadlines mirror the DES impatience model draw
-/// for draw. Per-class deadline scales, the deadline spike, faults, the
-/// ladder and hedging are live-engine territory: `pushpull replay` then
-/// re-runs the trace through the deterministic accelerated LiveServer
-/// instead of the DES (see des_mappable()).
+/// hedging and drain all off, the engine derives no extra streams and
+/// schedules no timers. Every mechanism runs inside core::HybridServer
+/// (hybrid() forwards the failure model; drain_after becomes a
+/// HybridServer::drain call), so `pushpull replay` re-runs any recording
+/// through the same engine and rep 0 reproduces the live run bit-for-bit.
 struct ServeConfig {
   // --- workload universe (mirrors exp::Scenario) --------------------------
   std::size_t num_items = 100;
@@ -45,9 +41,8 @@ struct ServeConfig {
   double alpha = 0.5;
   sched::PullPolicyKind pull_policy = sched::PullPolicyKind::kImportance;
   sched::PushPolicyKind push_policy = sched::PushPolicyKind::kFlat;
-  /// Mirrored from HybridConfig so replay consumes the identical
-  /// bandwidth-demand stream (the live path never blocks — the channel is
-  /// unconstrained — but the draw itself must happen to keep RNG parity).
+  /// Forwarded to HybridConfig: the live channel is unconstrained, so the
+  /// Poisson demand never blocks, but the engine still draws it per pull.
   double mean_bandwidth_demand = 1.0;
 
   // --- serving ------------------------------------------------------------
@@ -77,8 +72,8 @@ struct ServeConfig {
   /// time exactly as the DES impatience model does). <= 0 disables
   /// deadlines: no stream is derived and no timer is armed.
   double mean_deadline = 0.0;
-  /// Per-class multipliers on each deadline draw; empty = all 1.0. Any
-  /// factor != 1 breaks the DES impatience mapping (live-engine replay).
+  /// Per-class multipliers on each deadline draw, applied after the draw;
+  /// empty = all 1.0.
   std::vector<double> deadline_scale;
   /// Deadline-tightening spike (chaos): draws armed inside
   /// [spike_start, spike_start + spike_duration) are multiplied by
@@ -129,16 +124,11 @@ struct ServeConfig {
   /// ladder, hedging or drain) — the header then carries the v2 fields.
   [[nodiscard]] bool robust() const noexcept;
 
-  /// True when a recorded run of this config can be replayed through the
-  /// DES bit-for-bit: only mechanisms with an exact DES mirror are active
-  /// (plain uniform deadlines map to mean_patience; per-class scales,
-  /// spike, faults, ladder and hedging do not). Non-mappable traces replay
-  /// through the deterministic accelerated LiveServer instead.
-  [[nodiscard]] bool des_mappable() const noexcept;
-
-  /// The equivalent DES configuration — what `pushpull replay` runs a
-  /// DES-mappable recorded trace through. mean_deadline maps to
-  /// mean_patience; fault/overload are forwarded verbatim.
+  /// The engine configuration — what LiveServer runs and what `pushpull
+  /// replay` re-runs a recording through. mean_deadline maps to
+  /// mean_patience and the deadline scale/spike to the patience
+  /// scale/spike; fault, overload and hedge_after are forwarded verbatim.
+  /// drain_after is no engine field: drivers call HybridServer::drain.
   [[nodiscard]] core::HybridConfig hybrid() const;
 
   /// Materializes the catalog exactly as exp::Scenario::build would

@@ -186,6 +186,24 @@ TEST(Simulator, RequestStopHaltsRun) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Simulator, NextTimeSeesQueueAndStreamAndSkipsCancelled) {
+  Simulator sim;
+  EXPECT_EQ(sim.next_time(), Simulator::kForever);
+  const std::vector<SimTime> arrivals = {2.0, 5.0};
+  sim.stream_arrivals({arrivals.size(),
+                       [&arrivals](std::size_t i) { return arrivals[i]; },
+                       [](std::size_t) {}});
+  EXPECT_EQ(sim.next_time(), 2.0);
+  const EventId early = sim.schedule_at(1.0, [] {});
+  EXPECT_EQ(sim.next_time(), 1.0);
+  sim.cancel(early);
+  EXPECT_EQ(sim.next_time(), 2.0);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.next_time(), 5.0);
+  ASSERT_TRUE(sim.step());
+  EXPECT_EQ(sim.next_time(), Simulator::kForever);
+}
+
 TEST(Simulator, StepDispatchesOne) {
   Simulator sim;
   int fired = 0;

@@ -1,9 +1,7 @@
 // detlint's own test suite: every rule fires on its fixture exactly at the
 // marked lines, path scoping works (D2/D5/R1/R2), the clean fixture is
 // silent, suppressions and the baseline filter findings, the tree-wide
-// D3 declaration merge catches cross-file header/impl splits, parity
-// regions are token-compared across engine files (including the real
-// tree's engines, with a PR-7 bug re-introduction check), the layer DAG
+// D3 declaration merge catches cross-file header/impl splits, the layer DAG
 // rejects undeclared include edges, dead suppressions and stale baseline
 // entries are themselves findings, and the SARIF rendering validates
 // against the 2.1.0 structural schema offline.
@@ -274,14 +272,14 @@ TEST(DetlintBaseline, BaselineMarksButDoesNotDrop) {
   EXPECT_EQ(detlint::fresh_count(other), 1u);
 }
 
-TEST(DetlintMeta, RuleTableListsAllTenRules) {
+TEST(DetlintMeta, RuleTableListsAllNineRules) {
   const auto& rules = detlint::rules();
-  ASSERT_EQ(rules.size(), 10u);
+  ASSERT_EQ(rules.size(), 9u);
   std::vector<std::string> ids;
   ids.reserve(rules.size());
   for (const auto& r : rules) ids.emplace_back(r.id);
   EXPECT_EQ(ids, (std::vector<std::string>{"D1", "D2", "D3", "D4", "D5",
-                                           "L1", "P1", "R1", "R2", "S1"}));
+                                           "L1", "R1", "R2", "S1"}));
 }
 
 TEST(DetlintMeta, CommentsAndStringsNeverFire) {
@@ -334,9 +332,9 @@ TEST(DetlintLayers, L1FiresOnUndeclaredAndRestrictedEdges) {
   const std::string text = read_fixture("bad_l1.cpp");
   const auto expected = expected_findings(text);
   ASSERT_FALSE(expected.empty());
-  const auto report = detlint::analyze_source_v2("src/core/bad_l1.cpp", text,
-                                                 {}, &layers);
-  EXPECT_EQ(actual_findings(report.diags), expected);
+  const auto diags = detlint::analyze_source_v2("src/core/bad_l1.cpp", text,
+                                                {}, &layers);
+  EXPECT_EQ(actual_findings(diags), expected);
 }
 
 TEST(DetlintLayers, WildcardLayerMayIncludeAnythingButRestricted) {
@@ -349,18 +347,16 @@ TEST(DetlintLayers, WildcardLayerMayIncludeAnythingButRestricted) {
   // restricted allow-list — everything is legal.
   EXPECT_TRUE(
       detlint::analyze_source_v2("tools/pushpull_cli.cpp", body, {}, &layers)
-          .diags.empty());
+          .empty());
   // bench is not declared in the mini config, so it is unlayered: silent.
   EXPECT_TRUE(
-      detlint::analyze_source_v2("bench/b.cpp", body, {}, &layers)
-          .diags.empty());
+      detlint::analyze_source_v2("bench/b.cpp", body, {}, &layers).empty());
 }
 
 TEST(DetlintLayers, L1SkipsEntirelyWithoutConfig) {
   const std::string body = "#include \"serve/live.hpp\"\n";
   EXPECT_TRUE(
-      detlint::analyze_source_v2("src/core/f.cpp", body, {}, nullptr)
-          .diags.empty());
+      detlint::analyze_source_v2("src/core/f.cpp", body, {}, nullptr).empty());
 }
 
 TEST(DetlintLayers, ConfigRejectsUndeclaredDepsAndCycles) {
@@ -446,141 +442,6 @@ TEST(DetlintBaseline, RatchetFlagsStaleEntries) {
   EXPECT_EQ(stale[0].file, "tools/detlint/baseline.txt");
   EXPECT_EQ(stale[0].line, 0u);
   EXPECT_NE(stale[0].message.find("src/sim/gone.cpp:D4"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// P1: cross-engine parity
-// ---------------------------------------------------------------------------
-
-TEST(DetlintParity, StructuralErrorsAreFileLocalFindings) {
-  expect_matches_markers("parity_nested.cpp", "src/core/parity_nested.cpp");
-}
-
-/// Pools the parity regions of the two named sources and compares them.
-std::vector<detlint::Diagnostic> parity_of(
-    const std::string& core_path, const std::string& core_text,
-    const std::string& live_path, const std::string& live_text) {
-  auto core = detlint::analyze_source_v2(core_path, core_text);
-  auto live = detlint::analyze_source_v2(live_path, live_text);
-  EXPECT_TRUE(core.diags.empty()) << core_path;
-  EXPECT_TRUE(live.diags.empty()) << live_path;
-  std::vector<detlint::ParityRegion> regions = std::move(core.parity);
-  regions.insert(regions.end(),
-                 std::make_move_iterator(live.parity.begin()),
-                 std::make_move_iterator(live.parity.end()));
-  return detlint::check_parity(regions);
-}
-
-TEST(DetlintParity, FixturePairIsTokenIdenticalModuloRenames) {
-  const auto diags = parity_of(
-      "src/core/parity_core.cpp", read_fixture("parity_core.cpp"),
-      "src/serve/parity_live.cpp", read_fixture("parity_live.cpp"));
-  std::string listing;
-  for (const auto& d : diags) listing += d.message + "\n";
-  EXPECT_TRUE(diags.empty()) << listing;
-}
-
-TEST(DetlintParity, DriftInOneEngineIsCaught) {
-  // Re-introduce the PR-7 bug shape in the fixture: the live engine's
-  // occupancy signal stops counting the boosted push backlog.
-  std::string live = read_fixture("parity_live.cpp");
-  const std::string needle = "push_waiters_";
-  const std::size_t pos = live.find(needle);
-  ASSERT_NE(pos, std::string::npos);
-  live.replace(pos, needle.size(), "empty_waiters_");
-  const auto diags = parity_of(
-      "src/core/parity_core.cpp", read_fixture("parity_core.cpp"),
-      "src/serve/parity_live.cpp", live);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, "P1");
-  EXPECT_EQ(diags[0].file, "src/serve/parity_live.cpp");
-  EXPECT_NE(diags[0].message.find("fixture-ladder-occupancy"),
-            std::string::npos);
-  EXPECT_NE(diags[0].message.find("empty_waiters_"), std::string::npos);
-}
-
-TEST(DetlintParity, DeclaredRenamesAreSymmetric) {
-  // The deliver-at-end pair differs only by request=r, declared on both
-  // begin markers; remove the live declaration and the pair still passes
-  // because the maps merge. Then break the *token* and it fails.
-  std::string live = read_fixture("parity_live.cpp");
-  const std::string decl = "fixture-deliver-at-end, request=r";
-  const std::size_t pos = live.find(decl);
-  ASSERT_NE(pos, std::string::npos);
-  live.replace(pos, decl.size(), "fixture-deliver-at-end");
-  EXPECT_TRUE(parity_of("src/core/parity_core.cpp",
-                        read_fixture("parity_core.cpp"),
-                        "src/serve/parity_live.cpp", live)
-                  .empty())
-      << "one side's rename declaration must cover the pair";
-
-  // An identifier outside every rename map is drift.
-  std::string live2 = read_fixture("parity_live.cpp");
-  const std::string call = "record_delivery(*collector_, r,";
-  const std::size_t pos2 = live2.find(call);
-  ASSERT_NE(pos2, std::string::npos);
-  live2.replace(pos2, call.size(), "record_delivery(*collector_, q,");
-  const auto diags = parity_of("src/core/parity_core.cpp",
-                               read_fixture("parity_core.cpp"),
-                               "src/serve/parity_live.cpp", live2);
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_NE(diags[0].message.find("'q'"), std::string::npos);
-}
-
-TEST(DetlintParity, ASoloRegionIsAFinding) {
-  auto core = detlint::analyze_source_v2("src/core/parity_core.cpp",
-                                         read_fixture("parity_core.cpp"));
-  const auto diags = detlint::check_parity(core.parity);
-  ASSERT_EQ(diags.size(), 2u);  // both rules are missing their partner
-  for (const auto& d : diags) {
-    EXPECT_EQ(d.rule, "P1");
-    EXPECT_NE(d.message.find("exactly two engines"), std::string::npos);
-  }
-}
-
-TEST(DetlintParity, RealEnginesPassAndPR7BugIsCaught) {
-  // The acceptance check for this analyzer: the real engines' annotated
-  // regions are in parity today, and re-introducing one of PR 7's actual
-  // cross-engine bugs — the live ladder reading a diverged occupancy
-  // signal — is caught by P1 at the mutated token.
-  const std::filesystem::path root = DETLINT_REPO_ROOT;
-  auto read = [](const std::filesystem::path& p) {
-    std::ifstream in(p, std::ios::binary);
-    EXPECT_TRUE(in) << p;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return std::move(buf).str();
-  };
-  const std::string core_text = read(root / "src/core/hybrid_server.cpp");
-  std::string live_text = read(root / "src/serve/live_server.cpp");
-
-  auto pool = [&](const std::string& live) {
-    auto core = detlint::analyze_source_v2("src/core/hybrid_server.cpp",
-                                           core_text);
-    auto live_report =
-        detlint::analyze_source_v2("src/serve/live_server.cpp", live);
-    std::vector<detlint::ParityRegion> regions = std::move(core.parity);
-    regions.insert(regions.end(),
-                   std::make_move_iterator(live_report.parity.begin()),
-                   std::make_move_iterator(live_report.parity.end()));
-    return detlint::check_parity(regions);
-  };
-
-  EXPECT_TRUE(pool(live_text).empty())
-      << "the live engine drifted from the DES engine";
-
-  // PR-7 bug shape: the live occupancy stops counting parked pull work.
-  const std::string needle = "pull_queue_.total_requests(), push_waiters_";
-  const std::size_t pos = live_text.find(needle);
-  ASSERT_NE(pos, std::string::npos)
-      << "live_server.cpp no longer feeds the shared occupancy rule";
-  live_text.replace(pos, needle.size(),
-                    "pull_queue_.size(), push_waiters_");
-  const auto diags = pool(live_text);
-  ASSERT_FALSE(diags.empty());
-  EXPECT_EQ(diags[0].rule, "P1");
-  EXPECT_EQ(diags[0].file, "src/serve/live_server.cpp");
-  EXPECT_NE(diags[0].message.find("ladder-occupancy"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

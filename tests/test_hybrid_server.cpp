@@ -1,6 +1,15 @@
 // Unit and behavioral tests for the hybrid server: conservation,
-// determinism, push/pull mechanics, blocking, warm-up and edge cutoffs.
+// determinism, push/pull mechanics, blocking, warm-up and edge cutoffs,
+// config validation, and the serve layer's driver entry points.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <limits>
+#include <span>
+#include <sstream>
+#include <string>
 
 #include "catalog/catalog.hpp"
 #include "catalog/length_model.hpp"
@@ -234,6 +243,217 @@ TEST(HybridServer, PullPolicySwapChangesSchedule) {
   // But identical conservation.
   EXPECT_EQ(ra.overall().served, rb.overall().served);
 }
+
+// --- non-finite scheduler inputs -------------------------------------------
+
+/// The constructor must refuse `config` with an invalid_argument naming
+/// `field`, for NaN and both infinities written into it by `set`.
+template <typename Set>
+void expect_rejects_non_finite(const char* field, Set set) {
+  const auto built = small_scenario().build();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    HybridConfig config;
+    config.cutoff = 10;
+    set(config, bad);
+    try {
+      HybridServer server(built.catalog, built.population, config);
+      ADD_FAILURE() << field << " = " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(HybridServer, RejectsNonFiniteAlpha) {
+  expect_rejects_non_finite("alpha",
+                            [](HybridConfig& c, double v) { c.alpha = v; });
+}
+
+TEST(HybridServer, RejectsNonFiniteBandwidthDemand) {
+  expect_rejects_non_finite("mean_bandwidth_demand", [](HybridConfig& c,
+                                                         double v) {
+    c.mean_bandwidth_demand = v;
+  });
+}
+
+TEST(HybridServer, RejectsNonFinitePatience) {
+  expect_rejects_non_finite(
+      "mean_patience", [](HybridConfig& c, double v) { c.mean_patience = v; });
+}
+
+TEST(HybridServer, RejectsNonFiniteTotalBandwidth) {
+  expect_rejects_non_finite("total_bandwidth", [](HybridConfig& c, double v) {
+    c.total_bandwidth = v;
+  });
+}
+
+TEST(HybridServer, RejectsBadLiveFailureModel) {
+  const auto built = small_scenario().build();
+  const auto rejects = [&](const HybridConfig& config) {
+    EXPECT_THROW(HybridServer(built.catalog, built.population, config),
+                 std::invalid_argument);
+  };
+  HybridConfig config;
+  config.cutoff = 10;
+  config.patience_scale = {1.0, 2.0};  // population has 3 classes
+  rejects(config);
+  config.patience_scale = {1.0, 0.0, 1.0};
+  rejects(config);
+  config.patience_scale.clear();
+  config.patience_spike_factor = std::numeric_limits<double>::quiet_NaN();
+  rejects(config);
+  config.patience_spike_factor = 1.0;
+  config.hedge_after = -1.0;
+  rejects(config);
+  config.hedge_after = 2.0;
+  config.resilience.crash.enabled = true;
+  config.resilience.crash.rate = 0.01;
+  rejects(config);  // duplicates have no client to re-request after a crash
+}
+
+// --- the driver entry points ------------------------------------------------
+
+/// Every live-only mechanism at once: scaled and spiked patience, hedges,
+/// the burst-error channel with retries, and the ladder.
+HybridConfig live_mix(const exp::Scenario::Built& built) {
+  HybridConfig c;
+  c.cutoff = 10;
+  c.mean_patience = 40.0;
+  c.patience_scale.assign(built.population.num_classes(), 1.0);
+  c.patience_scale.front() = 2.0;
+  c.patience_scale.back() = 0.5;
+  c.patience_spike_factor = 0.4;
+  c.patience_spike_start = built.trace.span() * 0.3;
+  c.patience_spike_duration = built.trace.span() * 0.2;
+  c.hedge_after = 7.5;
+  c.fault.enabled = true;
+  c.fault.channel.corrupt_bad = 0.5;
+  c.resilience.overload.enabled = true;
+  c.resilience.overload.eval_interval = 2.5;
+  c.resilience.overload.capacity_ref = 16;
+  return c;
+}
+
+std::string fingerprint(const SimResult& r) {
+  std::ostringstream out;
+  out << std::hexfloat;  // every bit of every double
+  for (const auto& s : r.per_class) {
+    out << s.arrived << '|' << s.served << '|' << s.abandoned << '|'
+        << s.corrupted << '|' << s.retries << '|' << s.lost << '|' << s.shed
+        << '|' << s.rejected << '|' << s.wait.mean() << '\n';
+  }
+  out << r.end_time << '|' << r.push_transmissions << '|'
+      << r.pull_transmissions << '|' << r.hedges_posted << '|'
+      << r.hedges_absorbed << '|' << r.unsettled << '|'
+      << r.overload_transitions.size() << '|' << r.mean_pull_queue_len;
+  return out.str();
+}
+
+TEST(HybridServer, RealtimeDriveMatchesTheAcceleratedRun) {
+  // Handing each arrival in at its own stamp reproduces the streamed run:
+  // both drivers dispatch the same events in the same order. The drain
+  // instant is off every transmission, ladder and backoff grid, so the
+  // strict (accelerated) and inclusive (realtime) cut agree.
+  const auto built = small_scenario().build();
+  const HybridConfig config = live_mix(built);
+  const std::span<const workload::Request> plan = built.trace.requests();
+  for (const double drain_at : {0.0, built.trace.span() * 0.6 + 0.123}) {
+    HybridServer accelerated(built.catalog, built.population, config);
+    const SimResult a = accelerated.run(plan, drain_at, nullptr);
+
+    HybridServer realtime(built.catalog, built.population, config);
+    realtime.start_realtime(plan.size(), nullptr);
+    for (const workload::Request& r : plan) {
+      if (drain_at > 0.0 && r.arrival >= drain_at) break;
+      realtime.arrive(r, r.arrival);
+    }
+    if (drain_at > 0.0) {
+      realtime.advance_to(drain_at);
+      if (!realtime.done()) realtime.drain(drain_at);
+    }
+    realtime.advance_to(des::Simulator::kForever);
+    EXPECT_TRUE(realtime.done());
+    const SimResult b = realtime.finish();
+
+    EXPECT_GT(a.hedges_posted, 0u) << "the mix must exercise hedging";
+    EXPECT_EQ(fingerprint(a), fingerprint(b)) << "drain_at " << drain_at;
+  }
+}
+
+TEST(HybridServer, DrainStopsAdmissionAndBroadcastsAndFlushesThePullSide) {
+  struct Watcher final : RunListener {
+    void on_arrival(const workload::Request&) override { ++arrivals; }
+    void on_transmission(bool push, double, catalog::ItemId,
+                         std::size_t) override {
+      if (push && drained) push_after_drain = true;
+    }
+    void on_drain(double now, std::uint64_t n) override {
+      drained = true;
+      drain_time = now;
+      skipped = n;
+    }
+    std::uint64_t arrivals = 0;
+    std::uint64_t skipped = 0;
+    double drain_time = 0.0;
+    bool drained = false;
+    bool push_after_drain = false;
+  };
+  const auto built = small_scenario().build();
+  HybridConfig config;
+  config.cutoff = 10;
+  const double drain_at = built.trace.span() * 0.5;
+  Watcher watcher;
+  HybridServer server(built.catalog, built.population, config);
+  const SimResult r = server.run(built.trace.requests(), drain_at, &watcher);
+  const metrics::ClassStats all = r.overall();
+
+  ASSERT_TRUE(watcher.drained);
+  EXPECT_EQ(watcher.drain_time, drain_at);
+  EXPECT_EQ(watcher.arrivals, all.arrived);
+  EXPECT_EQ(watcher.arrivals + watcher.skipped, built.trace.size());
+  EXPECT_FALSE(watcher.push_after_drain) << "the flush broadcasts nothing";
+  // Nothing was lost: the pull side settled, parked push waiters did not.
+  EXPECT_GT(r.unsettled, 0u);
+  EXPECT_EQ(all.served + r.unsettled, all.arrived);
+}
+
+#if defined(PUSHPULL_CLI_PATH)
+
+// These used to segfault (`--demand inf`: rng::poisson halves an infinite
+// mean forever), run on NaN scores (`--alpha nan`), die mid-run
+// (`--patience nan`) or be silently ignored (`--bandwidth nan`).
+TEST(HybridServerCli, NonFiniteSchedulerInputsExitOneNamingTheField) {
+  const struct {
+    const char* args;
+    const char* field;
+  } cases[] = {
+      {"simulate --requests 300 --demand inf", "mean_bandwidth_demand"},
+      {"loadtest --accelerated --duration 5 --demand inf",
+       "mean_bandwidth_demand"},
+      {"simulate --requests 300 --alpha nan", "alpha"},
+      {"simulate --requests 300 --patience nan", "mean_patience"},
+      {"simulate --requests 300 --bandwidth nan", "total_bandwidth"},
+  };
+  const std::string out = "hybrid_server_cli_nonfinite.txt";
+  for (const auto& c : cases) {
+    const std::string cmd = std::string(PUSHPULL_CLI_PATH) + " " + c.args +
+                            " > " + out + " 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << cmd;
+    std::ifstream in(out);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find(c.field), std::string::npos)
+        << cmd << "\n" << text.str();
+  }
+  std::remove(out.c_str());
+}
+
+#endif  // PUSHPULL_CLI_PATH
 
 }  // namespace
 }  // namespace pushpull::core

@@ -169,6 +169,14 @@ TEST(Importance, AlphaInterpolatesMonotonically) {
   }
 }
 
+TEST(Importance, RejectsNanAlpha) {
+  // A NaN passes `alpha < 0 || alpha > 1`; both Eq. 1 and Eq. 6 must still
+  // refuse it rather than score every entry NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ImportancePolicy{nan}, std::invalid_argument);
+  EXPECT_THROW(ImportanceQueueAwarePolicy{nan}, std::invalid_argument);
+}
+
 TEST(Importance, PriorityBreaksStretchTies) {
   ImportancePolicy policy(0.5);
   const auto low = make_entry(1, 2.0, 4, 2.0);

@@ -3,8 +3,12 @@
 // accelerated event loop's determinism, and the record/replay bridge back
 // into the deterministic DES core.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -287,9 +291,9 @@ TEST(LiveServer, EveryArrivalIsServed) {
             static_cast<double>(report.arrivals) / report.end_time);
 }
 
-/// The tentpole's core claim: the live event loop is an exact mirror of the
-/// DES for the deterministic subset — same plan through core::HybridServer
-/// agrees on every count and every wait statistic bit-for-bit.
+/// The live driver adds nothing to the engine: an accelerated run and a
+/// plain core::HybridServer::run over the same plan agree on every count
+/// and every wait statistic bit-for-bit.
 TEST(LiveServer, AcceleratedRunMatchesDesBitForBit) {
   for (const std::size_t cutoff : {std::size_t{0}, std::size_t{40},
                                    std::size_t{100}}) {
@@ -535,6 +539,32 @@ TEST(LiveServer, RealtimeRunDeliversTheWholePlan) {
   EXPECT_GT(report.end_time, 0.0);
   EXPECT_EQ(queue.posted(), planned);
 }
+
+#if defined(PUSHPULL_CLI_PATH)
+
+// The virtual clock paces nothing and the streamed plan rides no
+// completion queue, so these flags would be accepted and silently ignored.
+TEST(LoadtestCli, AcceleratedRejectsWallClockFlags) {
+  const std::string out = "loadtest_cli_wall_flags.txt";
+  for (const std::string flag :
+       {"--time-scale 4", "--pacers 2", "--queue-capacity 8"}) {
+    const std::string cmd = std::string(PUSHPULL_CLI_PATH) +
+                            " loadtest --accelerated --duration 5 " + flag +
+                            " > " + out + " 2>&1";
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << cmd;
+    std::ifstream in(out);
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find("has no effect with --accelerated"),
+              std::string::npos)
+        << cmd << "\n" << text.str();
+  }
+  std::remove(out.c_str());
+}
+
+#endif  // PUSHPULL_CLI_PATH
 
 }  // namespace
 }  // namespace pushpull::serve

@@ -105,16 +105,15 @@ void write_bytes(const std::string& path, std::string_view bytes) {
 // ---------------------------------------------------------------------------
 
 TEST(LiveDeadlines, ExpiryMatchesDesImpatienceBitForBit) {
-  // Plain uniform deadlines are DES-mappable: the live server draws the
-  // same patience stream at the same instants the DES impatience model
-  // does, so every per-class statistic — including who abandoned — must
-  // agree exactly, across push-heavy, hybrid and pure-pull regimes.
+  // A deadline is the engine's patience: the live driver and a plain DES
+  // run over the same plan draw the same patience stream at the same
+  // instants, so every per-class statistic — including who abandoned —
+  // must agree exactly, across push-heavy, hybrid and pure-pull regimes.
   for (const std::size_t cutoff : {std::size_t{0}, std::size_t{12},
                                    std::size_t{40}}) {
     ServeConfig c = robust_base();
     c.cutoff = cutoff;
     c.mean_deadline = 4.0;
-    ASSERT_TRUE(c.des_mappable()) << "plain deadlines must map";
 
     const auto cat = c.build_catalog();
     const auto pop = c.build_population();
@@ -143,7 +142,6 @@ TEST(LiveDeadlines, PerClassScalesSkewTimeoutRates) {
   c.duration = 20.0;
   c.mean_deadline = 3.0;
   c.deadline_scale = {4.0, 1.0, 0.25};  // premium waits 16x longer
-  EXPECT_FALSE(c.des_mappable());
   const ServeReport r = run_plain(c);
   ASSERT_EQ(r.per_class.size(), 3u);
   const auto rate = [](const metrics::ClassStats& s) {
@@ -379,28 +377,26 @@ TEST(Journal, KillResumeReplayIsBitExact) {
   }
 }
 
-TEST(Journal, ReplayReportsTheEngine) {
-  ServeConfig plain = robust_base();
-  const JournaledRun a = run_journaled(plain);
-  std::istringstream in_a(a.trace);
-  const RecordedRun run_a = load_trace(in_a);
-  EXPECT_NE(render_replay_report(run_a, replay(run_a))
-                .find("\"engine\":\"des\""),
-            std::string::npos);
-
+TEST(Journal, EveryRecordingReplaysThroughTheOneEngine) {
+  // Plain and robust recordings alike replay through core::HybridServer —
+  // there is no second engine to name — and rep 0 reproduces the run.
   ServeConfig robust = robust_base();
   robust.mean_deadline = 4.0;
   robust.deadline_scale = {2.0, 1.0, 0.5};
-  const JournaledRun b = run_journaled(robust);
-  std::istringstream in_b(b.trace);
-  const RecordedRun run_b = load_trace(in_b);
-  const auto results = replay(run_b);
-  EXPECT_NE(render_replay_report(run_b, results).find("\"engine\":\"live\""),
-            std::string::npos);
-  // Rep 0 of a live-engine replay reproduces the original run bit-for-bit.
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(fingerprint(results.front().per_class),
-            fingerprint(b.report.per_class));
+  robust.hedge_after = 2.0;
+  robust.drain_after = 7.0;
+  for (const ServeConfig& c : {robust_base(), robust}) {
+    const JournaledRun run = run_journaled(c);
+    std::istringstream in(run.trace);
+    const RecordedRun loaded = load_trace(in);
+    const auto results = replay(loaded);
+    EXPECT_EQ(render_replay_report(loaded, results).find("\"engine\""),
+              std::string::npos);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(fingerprint(results.front().per_class),
+              fingerprint(run.report.per_class));
+    EXPECT_EQ(results.front().end_time, run.report.end_time);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -479,17 +475,32 @@ TEST(Conservation, HoldsExactlyAcross500SeededChaosCases) {
     if (case_id % 6 == 4) c.drain_after = c.duration * 0.6;
     ASSERT_NO_THROW(c.validate()) << "case " << case_id;
 
-    // finalize_ledger() machine-checks the identity and throws on any
+    // The live run machine-checks the identity and throws on any
     // imbalance — a completed run IS the conservation proof; the explicit
     // checks below pin the report copy too.
-    ServeReport r;
-    ASSERT_NO_THROW(r = run_plain(c)) << "case " << case_id;
+    JournaledRun run;
+    ASSERT_NO_THROW(run = run_journaled(c)) << "case " << case_id;
+    const ServeReport& r = run.report;
     EXPECT_TRUE(r.ledger.balanced()) << "case " << case_id;
     EXPECT_EQ(r.ledger.injected, r.arrivals) << "case " << case_id;
     EXPECT_EQ(r.ledger.delivered, r.served) << "case " << case_id;
     if (!r.drained) {
       EXPECT_EQ(r.ledger.in_flight_at_drain, 0u) << "case " << case_id;
     }
+    // Every knob above lives in the engine, so the recording replays
+    // through the DES: rep 0 reproduces the case bit-for-bit.
+    std::istringstream in(run.trace);
+    const RecordedRun loaded = load_trace(in);
+    const std::vector<core::SimResult> replayed = replay(loaded);
+    ASSERT_EQ(replayed.size(), 1u) << "case " << case_id;
+    const core::SimResult& sim = replayed.front();
+    EXPECT_EQ(fingerprint(sim.per_class), fingerprint(r.per_class))
+        << "case " << case_id;
+    EXPECT_EQ(sim.end_time, r.end_time) << "case " << case_id;
+    EXPECT_EQ(sim.push_transmissions, r.push_transmissions)
+        << "case " << case_id;
+    EXPECT_EQ(sim.pull_transmissions, r.pull_transmissions)
+        << "case " << case_id;
   }
 }
 

@@ -4,13 +4,11 @@
 //           [--check] [--rules] [FILE...]
 //
 // With no FILE arguments, scans <root>/{src,tools,bench} and runs every
-// pass: the per-file rules (D1-D5, L1, R1, R2), cross-engine parity (P1)
-// over the pooled parity regions, dead-suppression detection (S1), and the
-// baseline ratchet (a baseline entry no finding matches is itself an S1
-// finding). With FILE arguments, the named files are analyzed together —
-// parity regions still pool across them, so a pair of engine files can be
-// checked in isolation — but the ratchet is skipped (a partial scan cannot
-// judge staleness).
+// pass: the per-file rules (D1-D5, L1, R1, R2), dead-suppression detection
+// (S1), and the baseline ratchet (a baseline entry no finding matches is
+// itself an S1 finding). With FILE arguments, only the named files are
+// analyzed and the ratchet is skipped (a partial scan cannot judge
+// staleness).
 //
 // Prints one `file:line: rule: message` diagnostic per finding and exits 1
 // if any finding is not covered by the baseline (0 when clean, 2 on
@@ -38,7 +36,7 @@ namespace {
 
 void usage() {
   std::cout <<
-      R"(detlint — determinism/invariant linter (rules D1-D5, L1, P1, R1-R2, S1)
+      R"(detlint — determinism/invariant linter (rules D1-D5, L1, R1-R2, S1)
 
 usage: detlint [--root DIR] [--baseline FILE] [--json FILE] [--sarif FILE]
                [--check] [--rules] [FILE...]
@@ -118,13 +116,10 @@ int main(int argc, char** argv) {
   if (files.empty()) {
     diags = detlint::analyze_tree(root);
   } else {
-    // Explicit files analyze together: parity regions pool across them so
-    // the two engine files can be parity-checked in isolation.
     const detlint::LayerConfig layers = detlint::LayerConfig::load_file(
         (root / "tools" / "detlint" / "layers.toml").string());
     const detlint::LayerConfig* layers_ptr =
         layers.empty() ? nullptr : &layers;
-    std::vector<detlint::ParityRegion> regions;
     for (const auto& file : files) {
       bool ok = false;
       const std::string text = read_file(file, ok);
@@ -134,14 +129,10 @@ int main(int argc, char** argv) {
       }
       const std::filesystem::path rel =
           file.lexically_proximate(root).lexically_normal();
-      auto report = detlint::analyze_source_v2(rel.generic_string(), text,
-                                               {}, layers_ptr);
-      diags.insert(diags.end(), report.diags.begin(), report.diags.end());
-      regions.insert(regions.end(), report.parity.begin(),
-                     report.parity.end());
+      const auto file_diags = detlint::analyze_source_v2(
+          rel.generic_string(), text, {}, layers_ptr);
+      diags.insert(diags.end(), file_diags.begin(), file_diags.end());
     }
-    auto parity_diags = detlint::check_parity(regions);
-    diags.insert(diags.end(), parity_diags.begin(), parity_diags.end());
   }
   detlint::apply_baseline(diags, baseline);
   if (files.empty() && !baseline_path.empty()) {

@@ -40,9 +40,6 @@ const std::vector<RuleInfo> kRules = {
     {"L1", "layer-dag",
      "every #include \"layer/...\" edge must be declared in the layer DAG "
      "(tools/detlint/layers.toml)"},
-    {"P1", "cross-engine-parity",
-     "parity:begin/parity:end regions must stay token-identical across the "
-     "two scheduling engines, modulo the declared identifier renames"},
     {"R1", "throw-not-assert",
      "no assert() in library code (src/) — throw std::logic_error with "
      "context so Release builds keep the check"},
@@ -103,18 +100,8 @@ struct Suppressions {
   }
 };
 
-/// One parity:begin / parity:end marker comment, in source order.
-struct ParityMarker {
-  std::size_t line = 0;
-  bool begin = false;
-  std::string rule;  ///< empty on parity:end
-  std::map<std::string, std::string> renames;
-  std::string error;  ///< non-empty when the marker itself is malformed
-};
-
 /// First index of the comment's content: past the `//`/`/*` delimiters and
-/// leading whitespace/decoration. Directives and parity markers only count
-/// when anchored here — prose that merely *mentions* the syntax (like this
+/// leading whitespace/decoration. Directives only count when anchored here — prose that merely *mentions* the syntax (like this
 /// linter's own documentation) must not parse as the real thing.
 std::size_t comment_content_start(std::string_view comment) {
   std::size_t i = 0;
@@ -168,106 +155,12 @@ void collect_directives(std::string_view comment, std::size_t start_line,
   flush();
 }
 
-bool parity_name_ok(std::string_view s) {
-  if (s.empty()) return false;
-  for (const char c : s) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' && c != '-') {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Parses `parity:begin(rule[, a=b ...])` / `parity:end[(rule)]` markers out
-/// of one comment's text. The marker must be the first thing in the comment
-/// (see comment_content_start) and the comment must be standalone — a
-/// trailing marker would make it ambiguous whether its own line's code
-/// belongs to the region.
-void collect_parity_markers(std::string_view comment, std::size_t start_line,
-                            bool standalone,
-                            std::vector<ParityMarker>& markers) {
-  static constexpr std::string_view kPrefix = "parity:";
-  const std::size_t pos = comment.find(kPrefix);
-  if (pos == std::string_view::npos ||
-      pos != comment_content_start(comment)) {
-    return;
-  }
-  {
-    std::size_t i = pos + kPrefix.size();
-    const bool begin = comment.substr(i, 5) == "begin";
-    const bool end = comment.substr(i, 3) == "end";
-    if (!begin && !end) return;
-    i += begin ? 5 : 3;
-    ParityMarker m;
-    m.line = start_line;
-    m.begin = begin;
-    if (!standalone) {
-      m.error = "parity markers must be standalone comments";
-    }
-    std::string args;
-    if (i < comment.size() && comment[i] == '(') {
-      const std::size_t close = comment.find(')', i);
-      if (close == std::string_view::npos) {
-        m.error = "unterminated parity marker argument list";
-        markers.push_back(std::move(m));
-        return;
-      }
-      args = std::string(comment.substr(i + 1, close - i - 1));
-      i = close + 1;
-    } else if (begin) {
-      m.error = "parity:begin needs a rule name: parity:begin(<rule>)";
-    }
-    // Split `rule, a=b, c=d` on commas; first field is the rule name, the
-    // rest are single-identifier renames.
-    std::size_t field = 0;
-    std::size_t from = 0;
-    while (from <= args.size() && m.error.empty()) {
-      std::size_t to = args.find(',', from);
-      if (to == std::string::npos) to = args.size();
-      std::string part = args.substr(from, to - from);
-      part.erase(std::remove_if(part.begin(), part.end(),
-                                [](unsigned char c) {
-                                  return std::isspace(c) != 0;
-                                }),
-                 part.end());
-      if (!part.empty()) {
-        if (field == 0) {
-          if (!parity_name_ok(part)) {
-            m.error = "bad parity rule name '" + part + "'";
-          }
-          m.rule = part;
-        } else if (begin) {
-          const std::size_t eq = part.find('=');
-          const std::string a = part.substr(0, eq);
-          const std::string b =
-              eq == std::string::npos ? "" : part.substr(eq + 1);
-          if (eq == std::string::npos || !parity_name_ok(a) ||
-              !parity_name_ok(b)) {
-            m.error = "bad parity rename '" + part + "' (want ident=ident)";
-          } else {
-            m.renames[a] = b;
-          }
-        } else {
-          m.error = "parity:end takes at most a rule name";
-        }
-        ++field;
-      }
-      from = to + 1;
-    }
-    if (begin && m.rule.empty() && m.error.empty()) {
-      m.error = "parity:begin needs a rule name: parity:begin(<rule>)";
-    }
-    markers.push_back(std::move(m));
-  }
-}
-
 /// `text` with comments, string literals and char literals replaced by
 /// spaces (newlines preserved, so offsets and line numbers are unchanged),
-/// plus the suppression directives and parity markers found in comments.
+/// plus the suppression directives found in comments.
 struct Prepared {
   std::string code;
   Suppressions suppressions;
-  std::vector<ParityMarker> parity_markers;
 };
 
 Prepared strip_comments_and_literals(std::string_view text) {
@@ -293,8 +186,6 @@ Prepared strip_comments_and_literals(std::string_view text) {
       while (i < text.size() && text[i] != '\n') ++i;
       collect_directives(text.substr(start, i - start), line, !line_has_code,
                          out.suppressions);
-      collect_parity_markers(text.substr(start, i - start), line,
-                             !line_has_code, out.parity_markers);
       continue;
     }
     if (c == '/' && i + 1 < text.size() && text[i + 1] == '*') {
@@ -312,8 +203,6 @@ Prepared strip_comments_and_literals(std::string_view text) {
       i = std::min(i + 2, text.size());
       collect_directives(text.substr(start, i - start), start_line, standalone,
                          out.suppressions);
-      collect_parity_markers(text.substr(start, i - start), start_line,
-                             standalone, out.parity_markers);
       continue;
     }
     if (c == '"' || c == '\'') {
@@ -503,13 +392,12 @@ class Analysis {
            const std::set<std::string>& extra_names, const LayerConfig* layers)
       : path_(path),
         raw_text_(raw_text),
-        prepared_(prepared),
         toks_(toks),
         sup_(prepared.suppressions),
         extra_names_(extra_names),
         layers_(layers) {}
 
-  [[nodiscard]] SourceReport run() {
+  [[nodiscard]] std::vector<Diagnostic> run() {
     check_d1();
     check_d2();
     check_d3();
@@ -518,13 +406,12 @@ class Analysis {
     check_l1();
     check_r1();
     check_r2();
-    build_parity_regions();
     check_s1();  // last: judges the suppressed-hit ledger the others fed
     std::sort(diags_.begin(), diags_.end(),
               [](const Diagnostic& a, const Diagnostic& b) {
                 return std::tie(a.line, a.rule) < std::tie(b.line, b.rule);
               });
-    return {std::move(diags_), std::move(parity_)};
+    return std::move(diags_);
   }
 
  private:
@@ -536,9 +423,8 @@ class Analysis {
     diags_.push_back({std::string(path_), line, rule, std::move(message)});
   }
 
-  /// For P1 structural and S1 findings, which must not be allow()able
-  /// (suppressing the dead-suppression checker would be a paradox; parity
-  /// marker structure has to be fixed, not silenced).
+  /// For S1 findings, which must not be allow()able (suppressing the
+  /// dead-suppression checker would be a paradox).
   void report_hard(const char* rule, std::size_t line, std::string message) {
     diags_.push_back({std::string(path_), line, rule, std::move(message)});
   }
@@ -917,60 +803,6 @@ class Analysis {
     return {};
   }
 
-  // P1 (per-file half): pair up the markers into regions and slice the
-  // token stream. Structural problems — malformed/nested/unbalanced
-  // markers — are file-local P1 findings; the cross-file comparison is
-  // check_parity's job.
-  void build_parity_regions() {
-    const ParityMarker* open = nullptr;
-    for (const ParityMarker& m : prepared_.parity_markers) {
-      if (!m.error.empty()) {
-        report_hard("P1", m.line, m.error);
-        continue;
-      }
-      if (m.begin) {
-        if (open != nullptr) {
-          report_hard("P1", m.line,
-                      "nested parity:begin('" + m.rule +
-                          "') — close the '" + open->rule +
-                          "' region first (regions cannot nest)");
-          continue;
-        }
-        open = &m;
-      } else {
-        if (open == nullptr) {
-          report_hard("P1", m.line, "parity:end without a matching begin");
-          continue;
-        }
-        if (!m.rule.empty() && m.rule != open->rule) {
-          report_hard("P1", m.line,
-                      "parity:end(" + m.rule + ") closes region '" +
-                          open->rule + "'");
-          open = nullptr;
-          continue;
-        }
-        ParityRegion region;
-        region.rule = open->rule;
-        region.file = std::string(path_);
-        region.begin_line = open->line;
-        region.end_line = m.line;
-        region.renames = open->renames;
-        for (const Token& t : toks_) {
-          if (t.line > region.begin_line && t.line < region.end_line) {
-            region.tokens.push_back(
-                {std::string(t.text), t.line, t.kind == Tok::kIdent});
-          }
-        }
-        parity_.push_back(std::move(region));
-        open = nullptr;
-      }
-    }
-    if (open != nullptr) {
-      report_hard("P1", open->line,
-                  "parity:begin('" + open->rule + "') never closed");
-    }
-  }
-
   // S1 (per-file half): every allow directive must have suppressed at least
   // one finding this run. Runs last so the ledger is complete.
   void check_s1() {
@@ -999,14 +831,12 @@ class Analysis {
 
   std::string_view path_;
   std::string_view raw_text_;
-  const Prepared& prepared_;
   const std::vector<Token>& toks_;
   const Suppressions& sup_;
   const std::set<std::string>& extra_names_;
   const LayerConfig* layers_ = nullptr;
   std::set<std::pair<std::string, std::size_t>> suppressed_;
   std::vector<Diagnostic> diags_;
-  std::vector<ParityRegion> parity_;
 };
 
 }  // namespace
@@ -1022,9 +852,10 @@ std::set<std::string> collect_unordered_names(std::string_view text) {
   return unordered_names_in(tokenize(prepared.code));
 }
 
-SourceReport analyze_source_v2(std::string_view path, std::string_view text,
-                               const std::set<std::string>& extra_unordered_names,
-                               const LayerConfig* layers) {
+std::vector<Diagnostic> analyze_source_v2(
+    std::string_view path, std::string_view text,
+    const std::set<std::string>& extra_unordered_names,
+    const LayerConfig* layers) {
   const Prepared prepared = strip_comments_and_literals(text);
   const std::vector<Token> toks = tokenize(prepared.code);
   return Analysis(path, text, prepared, toks, extra_unordered_names, layers)
@@ -1034,90 +865,7 @@ SourceReport analyze_source_v2(std::string_view path, std::string_view text,
 std::vector<Diagnostic> analyze_source(
     std::string_view path, std::string_view text,
     const std::set<std::string>& extra_unordered_names) {
-  return analyze_source_v2(path, text, extra_unordered_names).diags;
-}
-
-// ---------------------------------------------------------------------------
-// P1: cross-file region comparison
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Applies the merged rename map symmetrically: a token equal to either
-/// side of a declared pair canonicalizes to the pair's left side.
-std::string canonical(const ParityToken& t,
-                      const std::map<std::string, std::string>& renames) {
-  if (!t.ident) return t.text;
-  const auto direct = renames.find(t.text);
-  if (direct != renames.end()) return direct->first;
-  for (const auto& [a, b] : renames) {
-    if (b == t.text) return a;
-  }
-  return t.text;
-}
-
-}  // namespace
-
-std::vector<Diagnostic> check_parity(const std::vector<ParityRegion>& regions) {
-  std::vector<Diagnostic> diags;
-  std::map<std::string, std::vector<const ParityRegion*>> by_rule;
-  for (const ParityRegion& r : regions) by_rule[r.rule].push_back(&r);
-
-  for (const auto& [rule, group] : by_rule) {
-    if (group.size() != 2) {
-      std::string files;
-      for (const auto* r : group) {
-        files += (files.empty() ? "" : ", ") + r->file;
-      }
-      diags.push_back(
-          {group.front()->file, group.front()->begin_line, "P1",
-           "parity rule '" + rule + "' has " + std::to_string(group.size()) +
-               " region(s) (" + files +
-               "); exactly two engines must declare it",
-           false});
-      continue;
-    }
-    // Lexically-second file carries the drift diagnostic, so the finding
-    // lands on the engine that usually lags (serve/ sorts after core/).
-    const ParityRegion* first = group[0];
-    const ParityRegion* second = group[1];
-    if (std::tie(second->file, second->begin_line) <
-        std::tie(first->file, first->begin_line)) {
-      std::swap(first, second);
-    }
-    std::map<std::string, std::string> renames = first->renames;
-    renames.insert(second->renames.begin(), second->renames.end());
-
-    const std::size_t n = std::min(first->tokens.size(),
-                                   second->tokens.size());
-    std::size_t drift = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (canonical(first->tokens[i], renames) !=
-          canonical(second->tokens[i], renames)) {
-        drift = i;
-        break;
-      }
-    }
-    if (drift == n && first->tokens.size() == second->tokens.size()) {
-      continue;  // token-identical modulo renames
-    }
-    std::size_t line = second->end_line;
-    std::string got = "<end of region>";
-    std::string want = "<end of region>";
-    if (drift < second->tokens.size()) {
-      line = second->tokens[drift].line;
-      got = second->tokens[drift].text;
-    }
-    if (drift < first->tokens.size()) want = first->tokens[drift].text;
-    diags.push_back(
-        {second->file, line, "P1",
-         "parity region '" + rule + "' drifted from " + first->file + ":" +
-             std::to_string(first->begin_line) + ": token " +
-             std::to_string(drift) + " is '" + got + "' here but '" + want +
-             "' there (renames do not cover it)",
-         false});
-  }
-  return diags;
+  return analyze_source_v2(path, text, extra_unordered_names);
 }
 
 // ---------------------------------------------------------------------------
@@ -1347,31 +1095,22 @@ std::vector<Diagnostic> analyze_tree(const std::filesystem::path& root) {
     tree_unordered_names.insert(names.begin(), names.end());
   }
 
-  // Phase 2: analyze with the global declaration set, pooling parity
-  // regions for the cross-file P1 comparison.
+  // Phase 2: analyze with the global declaration set.
   const std::string layers_path =
       (root / "tools" / "detlint" / "layers.toml").string();
   const LayerConfig layers = LayerConfig::load_file(layers_path);
   const LayerConfig* layers_ptr = layers.empty() ? nullptr : &layers;
 
   std::vector<Diagnostic> diags;
-  std::vector<ParityRegion> regions;
   for (std::size_t i = 0; i < files.size(); ++i) {
     const std::filesystem::path rel =
         files[i].lexically_proximate(root).lexically_normal();
-    auto file_report = analyze_source_v2(rel.generic_string(), texts[i],
-                                         tree_unordered_names, layers_ptr);
-    diags.insert(diags.end(),
-                 std::make_move_iterator(file_report.diags.begin()),
-                 std::make_move_iterator(file_report.diags.end()));
-    regions.insert(regions.end(),
-                   std::make_move_iterator(file_report.parity.begin()),
-                   std::make_move_iterator(file_report.parity.end()));
+    auto file_diags = analyze_source_v2(rel.generic_string(), texts[i],
+                                        tree_unordered_names, layers_ptr);
+    diags.insert(diags.end(), std::make_move_iterator(file_diags.begin()),
+                 std::make_move_iterator(file_diags.end()));
   }
 
-  auto parity_diags = check_parity(regions);
-  diags.insert(diags.end(), std::make_move_iterator(parity_diags.begin()),
-               std::make_move_iterator(parity_diags.end()));
   if (layers_ptr != nullptr) {
     auto config_diags =
         check_layer_config(layers, "tools/detlint/layers.toml");

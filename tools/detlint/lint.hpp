@@ -31,9 +31,6 @@
 ///       and never drawn from inside iteration over an unordered container
 ///   L1  include-graph layering: every `#include "layer/..."` edge must be
 ///       declared in the layer DAG (tools/detlint/layers.toml)
-///   P1  cross-engine parity: `// parity:begin(<rule>[, a=b ...])` ...
-///       `// parity:end` regions are token-compared pairwise across the two
-///       scheduling engines, modulo the declared identifier-renaming map
 ///   R1  no assert() in library code (src/) — throw std::logic_error with
 ///       context instead, so Release builds keep the check
 ///   R2  no `using namespace` in headers
@@ -45,10 +42,10 @@
 /// line (trailing) or on the line above (standalone comment);
 /// `// detlint:allow-file(RULE): reason` anywhere suppresses the rule for
 /// the whole file. A checked-in baseline file (`path:rule` lines)
-/// grandfathers findings without touching the source. P1 and S1 findings
-/// cannot be allow()ed inline (a suppression that suppresses the
-/// dead-suppression checker would be a paradox); park them in the baseline
-/// if they must be deferred.
+/// grandfathers findings without touching the source. S1 findings cannot
+/// be allow()ed inline (a suppression that suppresses the dead-suppression
+/// checker would be a paradox); park them in the baseline if they must be
+/// deferred.
 namespace detlint {
 
 struct RuleInfo {
@@ -57,7 +54,7 @@ struct RuleInfo {
   std::string_view summary;  ///< one-line description for the rule table
 };
 
-/// The rule table, in fixed D1..D5, L1, P1, R1, R2, S1 order.
+/// The rule table, in fixed D1..D5, L1, R1, R2, S1 order.
 [[nodiscard]] const std::vector<RuleInfo>& rules();
 
 struct Diagnostic {
@@ -88,28 +85,6 @@ class Baseline {
   std::set<std::string> entries_;
 };
 
-/// One token of a parity region (text copied out of the source so regions
-/// outlive the file buffer).
-struct ParityToken {
-  std::string text;
-  std::size_t line = 0;
-  bool ident = false;  ///< identifier tokens are the only renamable ones
-};
-
-/// One `// parity:begin(rule[, a=b ...])` ... `// parity:end` region. The
-/// markers must be standalone comments; the region's tokens are everything
-/// strictly between the marker lines (comments and literals stripped).
-struct ParityRegion {
-  std::string rule;
-  std::string file;
-  std::size_t begin_line = 0;
-  std::size_t end_line = 0;
-  /// Identifier-renaming map declared on the begin marker (single
-  /// identifiers only, applied symmetrically when the pair is compared).
-  std::map<std::string, std::string> renames;
-  std::vector<ParityToken> tokens;
-};
-
 /// The declared layer DAG for rule L1, parsed from a minimal TOML subset:
 ///
 ///   [layers]
@@ -137,15 +112,6 @@ struct LayerConfig {
   [[nodiscard]] static LayerConfig load_file(const std::string& path);
 };
 
-/// Per-file analysis plus the parity regions found in it; the caller pools
-/// regions across files and hands them to check_parity (P1 is the one
-/// cross-file rule, so a single file can only yield its structural
-/// diagnostics: nested/unbalanced/duplicated markers).
-struct SourceReport {
-  std::vector<Diagnostic> diags;
-  std::vector<ParityRegion> parity;
-};
-
 /// Names declared with an unordered_map/unordered_set type in `text`.
 /// analyze_tree unions these across all scanned files so a .cpp iterating
 /// a member its header declared unordered (the common split) still trips
@@ -163,20 +129,12 @@ struct SourceReport {
     std::string_view path, std::string_view text,
     const std::set<std::string>& extra_unordered_names = {});
 
-/// analyze_source plus the file's parity regions and (when `layers` is
-/// non-null) the L1 include-graph pass.
-[[nodiscard]] SourceReport analyze_source_v2(
+/// analyze_source plus (when `layers` is non-null) the L1 include-graph
+/// pass.
+[[nodiscard]] std::vector<Diagnostic> analyze_source_v2(
     std::string_view path, std::string_view text,
     const std::set<std::string>& extra_unordered_names = {},
     const LayerConfig* layers = nullptr);
-
-/// P1: token-compares the pooled parity regions pairwise per rule name.
-/// Exactly two regions (one per engine) must exist for every rule; the
-/// renaming maps of both regions are merged and applied symmetrically to
-/// identifier tokens. Diagnostics anchor at the drifting token in the
-/// lexically-second file and name the counterpart.
-[[nodiscard]] std::vector<Diagnostic> check_parity(
-    const std::vector<ParityRegion>& regions);
 
 /// L1 findings for problems with the layer config itself (parse errors,
 /// undeclared dependencies, cycles), reported against `config_path`.
@@ -190,9 +148,8 @@ struct SourceReport {
 
 /// Walks root/{src,tools,bench} (skipping `fixtures`, `build` and hidden
 /// directories), analyzing every .hpp/.h/.hh/.cpp/.cc file. Runs every
-/// pass: the per-file rules, L1 against root/tools/detlint/layers.toml
-/// (skipped when that file is absent), and P1 across the pooled parity
-/// regions. The result is sorted by (file, line, rule) so the linter's own
+/// pass: the per-file rules and L1 against root/tools/detlint/layers.toml
+/// (skipped when that file is absent). The result is sorted by (file, line, rule) so the linter's own
 /// output is byte-stable across platforms.
 [[nodiscard]] std::vector<Diagnostic> analyze_tree(
     const std::filesystem::path& root);

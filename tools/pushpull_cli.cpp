@@ -707,8 +707,8 @@ int cmd_uplink(const exp::ArgParser& args) {
 int cmd_lint(const exp::ArgParser& args) {
   // Prints the determinism-contract rule table and baseline statistics,
   // then scans the tree — the same passes the `detlint` binary and the
-  // detlint_tree ctest run (per-file rules, cross-engine parity, layer DAG,
-  // dead suppressions, baseline ratchet), embedded here so EXPERIMENTS.md
+  // detlint_tree ctest run (per-file rules, layer DAG, dead suppressions,
+  // baseline ratchet), embedded here so EXPERIMENTS.md
   // can document one entry point. Exit 0 clean, 1 findings, 2 usage/IO.
   std::filesystem::path root;
   std::string baseline_path;
@@ -1119,6 +1119,18 @@ int cmd_serve(const exp::ArgParser& args) {
 int cmd_loadtest(const exp::ArgParser& args) {
   args.require_known(kServeOpts, {"record", "from-trace", "trace",
                                   "trace-categories", "trace-cap"});
+  if (args.has("accelerated")) {
+    // The virtual clock paces nothing and no completion queue carries the
+    // streamed plan, so these would be accepted and silently ignored.
+    for (const char* wall_only : {"time-scale", "pacers", "queue-capacity"}) {
+      if (args.has(wall_only)) {
+        std::cerr << "loadtest: --" << wall_only
+                  << " has no effect with --accelerated (it configures "
+                     "wall-clock pacing only)\n";
+        return 2;
+      }
+    }
+  }
   const serve::ServeConfig config = serve_config_from(args);
   return run_live(config, args.get_string("record", ""),
                   args.get_string("from-trace", ""), "loadtest", args);
@@ -1178,22 +1190,23 @@ commands:
                conservation ledger. `serve --resume FILE` recovers a
                crashed journal; `serve --chaos` runs the kill/recover/
                resume/replay harness (exit 1 on any replay mismatch)
-  loadtest     measurement run of the live server; --accelerated drives the
-               identical event loop on a virtual clock (fast, seeded,
-               bit-reproducible), --record FILE captures an sv2 journal
-  replay       feed a recorded trace back through a deterministic engine
-               (pushpull replay TRACE [--reps R] [--jobs N]): the DES core
-               when the config has an exact DES mirror, the accelerated
-               live engine otherwise; rep 0 re-runs the recorded seed
-               bit-exactly
+  loadtest     measurement run of the live server; --accelerated streams
+               the plan through the same engine on its virtual clock (fast,
+               seeded, bit-reproducible; --time-scale, --pacers and
+               --queue-capacity are wall-clock only and rejected there),
+               --record FILE captures an sv2 journal
+  replay       feed a recorded trace back through the engine that served
+               it (pushpull replay TRACE [--reps R] [--jobs N]): the whole
+               failure model and the drain replay in the DES core; rep 0
+               re-runs the recorded seed bit-exactly
   trace        record the scenario's request trace to CSV (--out FILE)
                and/or run the hybrid server with full observability and
                write the sim-time event trace as JSONL (--trace FILE)
-  lint         print the determinism-contract rules (D1-D5, L1, P1, R1-R2,
-               S1) and baseline stats, then run every detlint pass over the
-               tree — per-file rules, cross-engine parity, layer DAG, dead
-               suppressions, baseline ratchet (--root DIR, --baseline FILE,
-               --json FILE; exit 0 clean / 1 findings / 2 usage-IO)
+  lint         print the determinism-contract rules (D1-D5, L1, R1-R2, S1)
+               and baseline stats, then run every detlint pass over the
+               tree — per-file rules, layer DAG, dead suppressions,
+               baseline ratchet (--root DIR, --baseline FILE, --json FILE;
+               exit 0 clean / 1 findings / 2 usage-IO)
 
 common options:
   --theta T --alpha A --cutoff K --requests N --seed S --items D --rate L
@@ -1251,12 +1264,15 @@ resilience (simulate / replicate / chaos):
                evaluation period (5), occupancy reference & soft cap (64),
                widen-push cutoff growth (10)
 
-observability (simulate / optimize / replicate / trace):
+observability (simulate / optimize / replicate / trace / serve / loadtest):
   --trace FILE accumulate a deterministic sim-time event trace and write it
                as sorted JSONL; without the flag no observer exists and the
-               run is byte-identical to an uninstrumented build
+               run is byte-identical to an uninstrumented build (serve and
+               loadtest write the engine's events, hedges and the drain
+               included)
   --trace-categories CSV   keep only these categories (push, pull, queue,
-               cutoff, fault, crash, ladder; default "all"); the filtered
+               cutoff, fault, crash, ladder, retry, drain; default "all";
+               retry carries hedges); the filtered
                stream is an exact sub-sequence of the unfiltered one
   --trace-cap N    ring-buffer capacity in events (default 65536); on
                overflow the oldest events drop and the footer reports it
@@ -1275,7 +1291,9 @@ live serving (serve / loadtest / replay):
                synthesized upfront, so pacer count never changes which
                requests exist
   --queue-capacity N   completion-queue bound; a full queue backpressures
-               the pacers (default 1024)
+               the pacers (default 1024). --time-scale, --pacers and
+               --queue-capacity configure the wall clock only: loadtest
+               --accelerated rejects them
   --record FILE    write the run as a crash-consistent sv2 journal (framed
                header + requests + decisions + sealed ledger footer) — the
                input to `pushpull replay` and `serve --resume`; sv1 JSONL
