@@ -154,15 +154,14 @@ ChaosReport run_chaos(const ServeConfig& config, const ChaosOptions& options) {
 
     const std::string bytes = read_file_bytes(full_path);
     std::istringstream full_in(bytes);
-    const JournalScan scan = scan_journal(full_in);
-    if (scan.payloads.empty()) {
+    JournalReader reader(full_in);
+    if (!reader.next()) {
       throw std::runtime_error(
           "serve chaos: recorded journal has no complete records");
     }
     // The kill never lands inside the header record: a journal whose config
     // is gone is a total loss, not a recovery scenario.
-    const std::uint64_t header_len =
-        kFrameDigits + 1 + scan.payloads.front().size() + 1;
+    const std::uint64_t header_len = reader.bytes_consumed();
     const std::uint64_t span = bytes.size() - header_len;
     const std::uint64_t kill =
         header_len + rng::uniform_below(kill_eng, span + 1);

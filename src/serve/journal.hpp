@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,30 +53,63 @@ struct ConservationLedger {
 /// --resume`.
 inline constexpr std::size_t kFrameDigits = 8;
 
+/// Completes a frame built in place: `frame` holds kFrameDigits + 1
+/// placeholder bytes followed by the payload. Writes the length prefix and
+/// its separator over the placeholder and appends the newline. Throws
+/// std::invalid_argument when the payload holds a newline or is too large
+/// to frame.
+void close_frame(std::string& frame);
+
 /// Frames one payload (no embedded newlines allowed; throws
 /// std::invalid_argument otherwise).
 [[nodiscard]] std::string frame_record(std::string_view payload);
 
-/// Result of scanning a (possibly truncated) framed stream.
-struct JournalScan {
-  std::vector<std::string> payloads;  // complete records, in order
-  std::uint64_t bytes_consumed = 0;   // length of the valid prefix
-  bool truncated = false;  // trailing partial/garbled bytes were discarded
+/// Walks the framed records of a (possibly truncated) stream one at a
+/// time. It reads through one buffer it reuses and grows only as bytes
+/// arrive, so a corrupt length prefix never sizes an allocation. It stops
+/// at EOF or at the first malformed or incomplete frame and never throws on
+/// bad framing: the records before it are the valid prefix.
+class JournalReader {
+ public:
+  explicit JournalReader(std::istream& in) : in_(in) {}
+
+  /// The next complete payload, valid until the next call; nullopt at EOF
+  /// or at the first bad frame.
+  [[nodiscard]] std::optional<std::string_view> next();
+
+  /// Trailing partial or garbled bytes ended the walk (and were discarded).
+  [[nodiscard]] bool truncated() const noexcept { return truncated_; }
+  /// Length of the valid prefix: every frame next() has returned.
+  [[nodiscard]] std::uint64_t bytes_consumed() const noexcept {
+    return consumed_;
+  }
+
+ private:
+  /// Buffers at least `want` unread bytes; false when the stream ends first.
+  bool fill(std::size_t want);
+  std::optional<std::string_view> stop(bool truncated);
+
+  std::istream& in_;
+  std::vector<char> buffer_;
+  std::size_t begin_ = 0;  // first unread buffered byte
+  std::size_t end_ = 0;    // one past the last buffered byte
+  std::uint64_t consumed_ = 0;
+  bool truncated_ = false;
+  bool done_ = false;
 };
 
-/// Reads framed records until EOF or the first malformed/incomplete frame.
-/// Never throws on bad framing — the valid prefix is the result.
-[[nodiscard]] JournalScan scan_journal(std::istream& in);
-
-/// File-backed journal sink with explicit durability: write through
-/// stream(), then sync() flushes the stdio buffer and fdatasync()s the
+/// File-backed journal sink with explicit durability. One descriptor
+/// serves both: writes through stream() collect in a buffer that leaves in
+/// one write(2) when it fills or at sync(), and sync() then fdatasync()s the
 /// file so every record written before the call survives a crash-kill.
 /// TraceRecorder batches sync() every ServeConfig::journal_sync_every
 /// records and always syncs at seal.
 class JournalFile {
  public:
-  /// Creates/truncates `path`; throws std::runtime_error when unwritable.
+  /// Creates/truncates `path`; throws std::runtime_error naming the path
+  /// when it cannot be opened for writing.
   explicit JournalFile(const std::string& path);
+  /// Writes what is still buffered (best effort) and closes the file.
   ~JournalFile();
   JournalFile(const JournalFile&) = delete;
   JournalFile& operator=(const JournalFile&) = delete;
@@ -83,7 +117,10 @@ class JournalFile {
   [[nodiscard]] std::ostream& stream();
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
-  /// Flush + fdatasync. Throws std::runtime_error on a write failure.
+  /// Write out the buffer + fdatasync. Throws std::runtime_error naming the
+  /// path when a write fails or fdatasync fails with anything but EINVAL or
+  /// EROFS, the two errors of a target that cannot sync at all (/dev/null
+  /// and pipes report EINVAL; their writes are still delivered).
   void sync();
 
  private:

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <exception>
 #include <fstream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/export.hpp"
 
@@ -39,25 +42,24 @@ using obs::render_number;
 }
 
 /// Position just past `"key":` in `line`, or npos when absent.
-[[nodiscard]] std::size_t value_pos(const std::string& line,
+[[nodiscard]] std::size_t value_pos(std::string_view line,
                                     std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  return at == std::string::npos ? std::string::npos : at + needle.size();
+  for (std::size_t at = line.find(key, 1); at != std::string_view::npos;
+       at = line.find(key, at + 1)) {
+    const std::size_t end = at + key.size();
+    if (line[at - 1] == '"' && line.substr(end, 2) == "\":") return end + 2;
+  }
+  return std::string_view::npos;
 }
 
-[[nodiscard]] bool has_key(const std::string& line, std::string_view key) {
-  return value_pos(line, key) != std::string::npos;
+[[nodiscard]] bool has_key(std::string_view line, std::string_view key) {
+  return value_pos(line, key) != std::string_view::npos;
 }
 
-[[nodiscard]] double number_field(const std::string& line,
+[[nodiscard]] double number_field(std::string_view line,
                                   std::string_view key, std::size_t lineno) {
   const std::size_t at = value_pos(line, key);
-  if (at == std::string::npos) {
+  if (at == std::string_view::npos) {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": missing field \"" + std::string(key) + "\"");
   }
@@ -74,12 +76,14 @@ using obs::render_number;
   return value;
 }
 
-[[nodiscard]] std::uint64_t count_field(const std::string& line,
+[[nodiscard]] std::uint64_t count_field(std::string_view line,
                                         std::string_view key,
                                         std::size_t lineno) {
   const double value = number_field(line, key, lineno);
-  if (value < 0.0 || value != static_cast<double>(
-                                  static_cast<std::uint64_t>(value))) {
+  // The range test comes first: converting a double outside [0, 2^64) to
+  // an integer is undefined.
+  if (!(value >= 0.0 && value < 0x1p64) ||
+      value != static_cast<double>(static_cast<std::uint64_t>(value))) {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": field \"" + std::string(key) +
                              "\" must be a non-negative integer");
@@ -87,22 +91,22 @@ using obs::render_number;
   return static_cast<std::uint64_t>(value);
 }
 
-[[nodiscard]] std::string string_field(const std::string& line,
+[[nodiscard]] std::string string_field(std::string_view line,
                                        std::string_view key,
                                        std::size_t lineno) {
   const std::size_t at = value_pos(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '"') {
+  if (at == std::string_view::npos || at >= line.size() || line[at] != '"') {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": missing string field \"" + std::string(key) +
                              "\"");
   }
   const std::size_t close = line.find('"', at + 1);
-  if (close == std::string::npos) {
+  if (close == std::string_view::npos) {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": unterminated string field \"" +
                              std::string(key) + "\"");
   }
-  return line.substr(at + 1, close - at - 1);
+  return std::string(line.substr(at + 1, close - at - 1));
 }
 
 /// "0.5,1,2" → {0.5, 1.0, 2.0}; "" → {}. Throws on garble.
@@ -137,7 +141,7 @@ using obs::render_number;
   return out;
 }
 
-[[nodiscard]] ServeConfig config_from_header(const std::string& line) {
+[[nodiscard]] ServeConfig parse_header(std::string_view line) {
   const std::string schema = string_field(line, "schema", 1);
   if (schema != kServeTraceSchema && schema != kServeJournalSchema) {
     throw std::runtime_error("serve trace: expected schema \"" +
@@ -216,6 +220,17 @@ using obs::render_number;
   return c;
 }
 
+/// The header's configuration. Values that ServeConfig or the shed-policy
+/// parser reject are malformed input like any other, so their
+/// std::invalid_argument surfaces as std::runtime_error.
+[[nodiscard]] ServeConfig config_from_header(std::string_view line) {
+  try {
+    return parse_header(line);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("serve trace header: ") + e.what());
+  }
+}
+
 [[nodiscard]] std::string render_header(const ServeConfig& config) {
   std::ostringstream out;
   out << "{\"schema\":\"" << kServeJournalSchema << "\""
@@ -282,7 +297,7 @@ using obs::render_number;
   return out;
 }
 
-[[nodiscard]] ConservationLedger ledger_from_footer(const std::string& line,
+[[nodiscard]] ConservationLedger ledger_from_footer(std::string_view line,
                                                     std::size_t lineno) {
   ConservationLedger ledger;
   if (!has_key(line, "ledger")) return ledger;  // sv1 footers carry none
@@ -301,7 +316,7 @@ enum class PayloadKind { kRequest, kDecision, kFooter };
 /// Parses one body payload into `run`, throwing std::runtime_error on any
 /// malformed content. `lineno` is 1-based (header = 1).
 PayloadKind apply_payload(RecordedRun& run, std::uint64_t& decisions,
-                          const std::string& line, std::size_t lineno) {
+                          std::string_view line, std::size_t lineno) {
   if (line.empty()) {
     throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                              ": empty record");
@@ -316,16 +331,18 @@ PayloadKind apply_payload(RecordedRun& run, std::uint64_t& decisions,
     workload::Request r;
     r.arrival = number_field(line, "t", lineno);
     r.id = count_field(line, "id", lineno);
-    r.item = static_cast<catalog::ItemId>(count_field(line, "item", lineno));
-    r.cls = static_cast<workload::ClassId>(count_field(line, "cls", lineno));
-    if (r.item >= run.config.num_items) {
+    const std::uint64_t item = count_field(line, "item", lineno);
+    const std::uint64_t cls = count_field(line, "cls", lineno);
+    if (item >= run.config.num_items) {
       throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                                ": item beyond the recorded catalog");
     }
-    if (r.cls >= run.config.num_classes) {
+    if (cls >= run.config.num_classes) {
       throw std::runtime_error("serve trace line " + std::to_string(lineno) +
                                ": class beyond the recorded population");
     }
+    r.item = static_cast<catalog::ItemId>(item);
+    r.cls = static_cast<workload::ClassId>(cls);
     run.requests.push_back(r);
     return PayloadKind::kRequest;
   }
@@ -349,11 +366,14 @@ PayloadKind apply_payload(RecordedRun& run, std::uint64_t& decisions,
 
 void sort_requests(RecordedRun& run) {
   // Realtime pacers may interleave posts; Trace requires sorted arrivals.
-  std::sort(run.requests.begin(), run.requests.end(),
-            [](const workload::Request& a, const workload::Request& b) {
-              return a.arrival != b.arrival ? a.arrival < b.arrival
-                                            : a.id < b.id;
-            });
+  // Accelerated recordings are already in order and skip the sort.
+  const auto by_arrival = [](const workload::Request& a,
+                             const workload::Request& b) {
+    return a.arrival != b.arrival ? a.arrival < b.arrival : a.id < b.id;
+  };
+  if (!std::is_sorted(run.requests.begin(), run.requests.end(), by_arrival)) {
+    std::sort(run.requests.begin(), run.requests.end(), by_arrival);
+  }
 }
 
 [[nodiscard]] RecordedRun load_trace_v1(std::istream& in, std::string line) {
@@ -386,18 +406,41 @@ void sort_requests(RecordedRun& run) {
 
 TraceRecorder::TraceRecorder(std::ostream& out, const ServeConfig& config)
     : out_(&out) {
-  append(render_header(config));
+  begin_frame();
+  frame_ += render_header(config);
+  end_frame();
 }
 
 TraceRecorder::TraceRecorder(JournalFile& file, const ServeConfig& config)
     : out_(&file.stream()),
       file_(&file),
       sync_every_(config.journal_sync_every) {
-  append(render_header(config));
+  begin_frame();
+  frame_ += render_header(config);
+  end_frame();
 }
 
-void TraceRecorder::append(const std::string& payload) {
-  *out_ << frame_record(payload);
+void TraceRecorder::begin_frame() {
+  frame_.assign(kFrameDigits + 1, ' ');  // the prefix, filled in at the end
+}
+
+void TraceRecorder::put(std::string_view text) { frame_ += text; }
+
+template <typename Number>
+void TraceRecorder::put_number(Number value) {
+  // std::to_chars with no format is obs::render_number's shortest
+  // round-trip form for doubles, and plain decimal for integers.
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  if (ec != std::errc{}) {
+    throw std::logic_error("TraceRecorder: to_chars failed");
+  }
+  frame_.append(buf, end);
+}
+
+void TraceRecorder::end_frame() {
+  close_frame(frame_);
+  out_->write(frame_.data(), static_cast<std::streamsize>(frame_.size()));
   if (file_ != nullptr && sync_every_ > 0 && ++since_sync_ >= sync_every_) {
     since_sync_ = 0;
     file_->sync();
@@ -406,45 +449,65 @@ void TraceRecorder::append(const std::string& payload) {
 
 void TraceRecorder::record_request(const workload::Request& request,
                                    double observed_time) {
-  std::ostringstream payload;
-  payload << "{\"t\":" << render_number(observed_time)
-          << ",\"id\":" << request.id << ",\"item\":" << request.item
-          << ",\"cls\":" << static_cast<std::uint64_t>(request.cls) << "}";
-  append(payload.str());
+  begin_frame();
+  put("{\"t\":");
+  put_number(observed_time);
+  put(",\"id\":");
+  put_number(request.id);
+  put(",\"item\":");
+  put_number(request.item);
+  put(",\"cls\":");
+  put_number(request.cls);
+  put("}");
+  end_frame();
   ++requests_;
 }
 
 void TraceRecorder::record_decision(bool push, double time,
                                     catalog::ItemId item,
                                     std::size_t delivered) {
-  std::ostringstream payload;
-  payload << "{\"d\":\"" << (push ? "push" : "pull")
-          << "\",\"t\":" << render_number(time) << ",\"item\":" << item
-          << ",\"n\":" << delivered << "}";
-  append(payload.str());
+  begin_frame();
+  put(push ? "{\"d\":\"push\",\"t\":" : "{\"d\":\"pull\",\"t\":");
+  put_number(time);
+  put(",\"item\":");
+  put_number(item);
+  put(",\"n\":");
+  put_number(delivered);
+  put("}");
+  end_frame();
   ++decisions_;
 }
 
 void TraceRecorder::record_ladder(double time, int from, int to) {
-  std::ostringstream payload;
-  payload << "{\"d\":\"ladder\",\"t\":" << render_number(time)
-          << ",\"from\":" << from << ",\"to\":" << to << "}";
-  append(payload.str());
+  begin_frame();
+  put("{\"d\":\"ladder\",\"t\":");
+  put_number(time);
+  put(",\"from\":");
+  put_number(from);
+  put(",\"to\":");
+  put_number(to);
+  put("}");
+  end_frame();
   ++decisions_;
 }
 
 void TraceRecorder::record_drain(double time, std::uint64_t skipped) {
-  std::ostringstream payload;
-  payload << "{\"d\":\"drain\",\"t\":" << render_number(time)
-          << ",\"n\":" << skipped << "}";
-  append(payload.str());
+  begin_frame();
+  put("{\"d\":\"drain\",\"t\":");
+  put_number(time);
+  put(",\"n\":");
+  put_number(skipped);
+  put("}");
+  end_frame();
   ++decisions_;
 }
 
 void TraceRecorder::seal(const ConservationLedger& ledger) {
   if (finished_) return;
   finished_ = true;
-  append(render_footer(requests_, decisions_, ledger));
+  begin_frame();
+  frame_ += render_footer(requests_, decisions_, ledger);
+  end_frame();
   out_->flush();
   if (file_ != nullptr) file_->sync();
 }
@@ -466,31 +529,47 @@ RecordedRun load_trace(std::istream& in) {
     }
     return load_trace_v1(in, std::move(line));
   }
-  const JournalScan scan = scan_journal(in);
-  if (scan.payloads.empty()) {
+  JournalReader reader(in);
+  const std::optional<std::string_view> header = reader.next();
+  if (!header) {
     throw std::runtime_error(
         "serve trace: no complete journal record (garbled or truncated "
         "framing)");
   }
-  if (scan.truncated) {
+  // A framing error anywhere in the file takes precedence over a payload
+  // error, so the first payload error is held while the reader walks the
+  // rest of the framing.
+  std::exception_ptr payload_error;
+  RecordedRun run;
+  try {
+    run.config = config_from_header(*header);
+  } catch (const std::runtime_error&) {
+    payload_error = std::current_exception();
+  }
+  bool saw_footer = false;
+  std::uint64_t decisions = 0;
+  for (std::size_t record = 2; const auto payload = reader.next(); ++record) {
+    if (payload_error) continue;
+    try {
+      if (saw_footer) {
+        throw std::runtime_error("serve trace record " +
+                                 std::to_string(record) +
+                                 ": content after the footer");
+      }
+      if (apply_payload(run, decisions, *payload, record) ==
+          PayloadKind::kFooter) {
+        saw_footer = true;
+      }
+    } catch (const std::runtime_error&) {
+      payload_error = std::current_exception();
+    }
+  }
+  if (reader.truncated()) {
     throw std::runtime_error(
         "serve trace: garbled or truncated journal framing — use recovery "
         "(serve --resume) to salvage the valid prefix");
   }
-  RecordedRun run;
-  run.config = config_from_header(scan.payloads.front());
-  bool saw_footer = false;
-  std::uint64_t decisions = 0;
-  for (std::size_t i = 1; i < scan.payloads.size(); ++i) {
-    if (saw_footer) {
-      throw std::runtime_error("serve trace record " + std::to_string(i + 1) +
-                               ": content after the footer");
-    }
-    if (apply_payload(run, decisions, scan.payloads[i], i + 1) ==
-        PayloadKind::kFooter) {
-      saw_footer = true;
-    }
-  }
+  if (payload_error) std::rethrow_exception(payload_error);
   if (!saw_footer) {
     throw std::runtime_error(
         "serve trace: missing footer record — unsealed journal (crashed "
@@ -510,24 +589,25 @@ RecordedRun load_trace_file(const std::string& path) {
 }
 
 RecoveredRun recover_trace(std::istream& in) {
-  const JournalScan scan = scan_journal(in);
-  if (scan.payloads.empty()) {
+  JournalReader reader(in);
+  const std::optional<std::string_view> header = reader.next();
+  if (!header) {
     throw std::runtime_error(
         "serve recovery: no complete record — the header itself is "
         "truncated, nothing to recover");
   }
   RecoveredRun recovered;
-  recovered.run.config = config_from_header(scan.payloads.front());
+  recovered.run.config = config_from_header(*header);
   recovered.records = 1;
-  recovered.bytes_consumed =
-      kFrameDigits + 1 + scan.payloads.front().size() + 1;
+  recovered.bytes_consumed = reader.bytes_consumed();
   std::uint64_t decisions = 0;
-  for (std::size_t i = 1; i < scan.payloads.size(); ++i) {
+  while (const auto payload = reader.next()) {
     const std::size_t before_requests = recovered.run.requests.size();
     const std::uint64_t before_decisions = decisions;
     PayloadKind kind;
     try {
-      kind = apply_payload(recovered.run, decisions, scan.payloads[i], i + 1);
+      kind = apply_payload(recovered.run, decisions, *payload,
+                           recovered.records + 1);
     } catch (const std::runtime_error&) {
       // An intact frame with an unparsable payload ends the valid prefix —
       // everything before it is still good.
@@ -536,7 +616,7 @@ RecoveredRun recover_trace(std::istream& in) {
       break;
     }
     recovered.records += 1;
-    recovered.bytes_consumed += kFrameDigits + 1 + scan.payloads[i].size() + 1;
+    recovered.bytes_consumed = reader.bytes_consumed();
     if (kind == PayloadKind::kFooter) {
       recovered.sealed = true;
       break;

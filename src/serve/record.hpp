@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/journal.hpp"
@@ -38,9 +39,12 @@ inline constexpr std::string_view kServeJournalSchema = "sv2";
 
 /// Writes an sv2 journal. Single-writer by design: only the server thread
 /// records (arrivals at dispatch, decisions at transmission start), so
-/// records never interleave. When constructed over a JournalFile the
-/// recorder fsyncs every `config.journal_sync_every` records (0 = only at
-/// seal); over a plain ostream it just writes (tests record into strings).
+/// records never interleave. Each record is rendered into one frame buffer
+/// the recorder reuses and reaches the sink in one write, so recording
+/// allocates nothing once the buffer has grown to the header's size. When
+/// constructed over a JournalFile the recorder fsyncs every
+/// `config.journal_sync_every` records (0 = only at seal); over a plain
+/// ostream it just writes (tests record into strings).
 class TraceRecorder {
  public:
   /// Writes the header record immediately.
@@ -69,8 +73,16 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
  private:
-  void append(const std::string& payload);
+  /// A frame is built in frame_: begin_frame() places the prefix
+  /// placeholder, put()/put_number() append the payload, end_frame() fills
+  /// in the length (close_frame), writes the frame and syncs when due.
+  void begin_frame();
+  void put(std::string_view text);
+  template <typename Number>
+  void put_number(Number value);
+  void end_frame();
 
+  std::string frame_;
   std::ostream* out_;
   JournalFile* file_ = nullptr;
   std::size_t sync_every_ = 0;

@@ -12,7 +12,7 @@
 ///                        the live failure model
 ///   load_driver.hpp      seeded open-loop load, planned upfront
 ///   journal.hpp          sv2 framed journal: conservation ledger, length
-///                        prefixes, truncation-exact scanning, fsync sink
+///                        prefixes, the bounded framing reader, fsync sink
 ///   record.hpp           sv1/sv2 trace codec + crash recovery
 ///   live_server.hpp      the driver: runs core::HybridServer accelerated
 ///                        or on the wall clock, journals, reports

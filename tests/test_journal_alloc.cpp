@@ -1,0 +1,184 @@
+// Allocation tests for the sv2 journal codec, in their own binary because
+// they replace the global operator new and operator delete with counting
+// versions: recording a record allocates nothing once the recorder is warm,
+// and a corrupt length prefix never sizes an allocation in the reader.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <fstream>
+#include <new>
+#include <sstream>
+#include <streambuf>
+#include <string>
+
+#include "serve/serve.hpp"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::size_t> g_news{0};
+std::atomic<std::size_t> g_deletes{0};
+std::atomic<std::size_t> g_largest{0};
+
+void* counted_new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_news.fetch_add(1, std::memory_order_relaxed);
+    std::size_t largest = g_largest.load(std::memory_order_relaxed);
+    while (size > largest &&
+           !g_largest.compare_exchange_weak(largest, size,
+                                            std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+void counted_delete(void* p) noexcept {
+  if (p != nullptr && g_counting.load(std::memory_order_relaxed)) {
+    g_deletes.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void operator delete(void* p) noexcept { counted_delete(p); }
+void operator delete[](void* p) noexcept { counted_delete(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_delete(p); }
+
+namespace pushpull::serve {
+namespace {
+
+/// Counts the allocations made while it is alive.
+class AllocationCount {
+ public:
+  AllocationCount() {
+    g_news = 0;
+    g_deletes = 0;
+    g_largest = 0;
+    g_counting = true;
+  }
+  ~AllocationCount() { g_counting = false; }
+  AllocationCount(const AllocationCount&) = delete;
+  AllocationCount& operator=(const AllocationCount&) = delete;
+
+  [[nodiscard]] std::size_t news() const { return g_news; }
+  [[nodiscard]] std::size_t deletes() const { return g_deletes; }
+  [[nodiscard]] std::size_t largest() const { return g_largest; }
+};
+
+/// A sink that discards what it is given without allocating.
+class DiscardBuf final : public std::streambuf {
+ protected:
+  int_type overflow(int_type ch) override { return traits_type::not_eof(ch); }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    return n;
+  }
+};
+
+ServeConfig alloc_config() {
+  ServeConfig c;
+  c.num_items = 40;
+  c.num_classes = 3;
+  c.accelerated = true;
+  c.journal_sync_every = 64;
+  return c;
+}
+
+/// One of each record kind the live path writes per event.
+void record_one_of_each(TraceRecorder& recorder, std::size_t i) {
+  workload::Request r;
+  r.id = 1000000 + i;
+  r.item = static_cast<catalog::ItemId>(i % 40);
+  r.cls = static_cast<workload::ClassId>(i % 3);
+  r.arrival = 1234.5678 + 0.1 * static_cast<double>(i);
+  recorder.record_request(r, r.arrival);
+  recorder.record_decision(i % 2 == 0, r.arrival + 0.5, r.item, i % 7);
+}
+
+void expect_no_allocations_per_record(TraceRecorder& recorder) {
+  record_one_of_each(recorder, 0);  // warm-up
+  std::size_t news = 0;
+  std::size_t deletes = 0;
+  {
+    const AllocationCount count;
+    for (std::size_t i = 1; i <= 10000; ++i) {
+      record_one_of_each(recorder, i);
+      if (i % 1000 == 0) {
+        recorder.record_ladder(static_cast<double>(i), 1, 2);
+        recorder.record_drain(static_cast<double>(i), i);
+      }
+    }
+    news = count.news();
+    deletes = count.deletes();
+  }
+  EXPECT_EQ(news, 0u);
+  EXPECT_EQ(deletes, 0u);
+}
+
+TEST(JournalAlloc, RecordingToAJournalFileAllocatesNothing) {
+  JournalFile file("/dev/null");
+  TraceRecorder recorder(file, alloc_config());
+  expect_no_allocations_per_record(recorder);
+}
+
+TEST(JournalAlloc, RecordingToAnOstreamAllocatesNothing) {
+  DiscardBuf sink;
+  std::ostream out(&sink);
+  TraceRecorder recorder(out, alloc_config());
+  expect_no_allocations_per_record(recorder);
+}
+
+#if defined(PUSHPULL_GOLDEN_DIR)
+
+/// The golden smoke journal's header frame.
+std::string golden_header_frame() {
+  std::ifstream in(std::string(PUSHPULL_GOLDEN_DIR) + "/serve/smoke.sv2",
+                   std::ios::binary);
+  JournalReader reader(in);
+  EXPECT_TRUE(reader.next().has_value());
+  in.clear();
+  in.seekg(0);
+  std::string bytes(static_cast<std::size_t>(reader.bytes_consumed()), '\0');
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return bytes;
+}
+
+TEST(JournalAlloc, ACorruptLengthPrefixNeverSizesAnAllocation) {
+  // The header, then a frame whose prefix claims 2^32 - 1 payload bytes.
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  const std::string header = golden_header_frame();
+  const std::string bytes = header + "ffffffff {\"t\":1}\n";
+  ASSERT_EQ(bytes.size(), 820u);
+
+  std::istringstream load_in(bytes);
+  std::size_t largest = 0;
+  {
+    const AllocationCount count;
+    EXPECT_THROW((void)load_trace(load_in), std::runtime_error);
+    largest = count.largest();
+  }
+  EXPECT_LE(largest, kMiB);
+
+  std::istringstream recover_in(bytes);
+  RecoveredRun recovered;
+  {
+    const AllocationCount count;
+    recovered = recover_trace(recover_in);
+    largest = count.largest();
+  }
+  EXPECT_LE(largest, kMiB);
+  EXPECT_EQ(recovered.records, 1u);
+  EXPECT_FALSE(recovered.sealed);
+  EXPECT_TRUE(recovered.run.requests.empty());
+  EXPECT_EQ(recovered.bytes_consumed, header.size());
+}
+
+#endif  // PUSHPULL_GOLDEN_DIR
+
+}  // namespace
+}  // namespace pushpull::serve

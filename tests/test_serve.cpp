@@ -429,17 +429,26 @@ TEST(TraceLoader, RejectsWrongSchema) {
   EXPECT_THROW((void)load_trace(in), std::runtime_error);
 }
 
+/// Every payload of a framed journal, in order; fails the test on bad
+/// framing.
+std::vector<std::string> journal_payloads(const std::string& journal) {
+  std::istringstream in(journal);
+  JournalReader reader(in);
+  std::vector<std::string> payloads;
+  while (const auto payload = reader.next()) payloads.emplace_back(*payload);
+  EXPECT_FALSE(reader.truncated());
+  return payloads;
+}
+
 TEST(TraceLoader, RejectsTruncatedRecording) {
   const AcceleratedRun recorded = run_accelerated(small_config());
   // Drop the sealing footer record (the journal is framed — splice at a
   // record boundary so only the *seal* is missing, not the framing).
-  std::istringstream scan_in(recorded.trace);
-  const JournalScan scan = scan_journal(scan_in);
-  ASSERT_FALSE(scan.truncated);
-  ASSERT_GE(scan.payloads.size(), 2u);
+  const std::vector<std::string> payloads = journal_payloads(recorded.trace);
+  ASSERT_GE(payloads.size(), 2u);
   std::string unsealed;
-  for (std::size_t i = 0; i + 1 < scan.payloads.size(); ++i) {
-    unsealed += frame_record(scan.payloads[i]);
+  for (std::size_t i = 0; i + 1 < payloads.size(); ++i) {
+    unsealed += frame_record(payloads[i]);
   }
   std::istringstream in(unsealed);
   EXPECT_THROW((void)load_trace(in), std::runtime_error);
@@ -448,12 +457,9 @@ TEST(TraceLoader, RejectsTruncatedRecording) {
 TEST(TraceLoader, RejectsFooterCountMismatch) {
   const AcceleratedRun recorded = run_accelerated(small_config());
   // Remove one framed request record; the footer now over-counts.
-  std::istringstream scan_in(recorded.trace);
-  const JournalScan scan = scan_journal(scan_in);
-  ASSERT_FALSE(scan.truncated);
   std::string spliced;
   bool removed = false;
-  for (const std::string& payload : scan.payloads) {
+  for (const std::string& payload : journal_payloads(recorded.trace)) {
     if (!removed && payload.rfind("{\"t\":", 0) == 0 &&
         payload.find("\"id\":") != std::string::npos) {
       removed = true;

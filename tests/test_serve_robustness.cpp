@@ -85,9 +85,9 @@ std::string fingerprint(const std::vector<metrics::ClassStats>& stats) {
 // First record's framed length — a cut below this loses the header.
 std::size_t header_frame_len(const std::string& journal) {
   std::istringstream in(journal);
-  const JournalScan scan = scan_journal(in);
-  EXPECT_FALSE(scan.payloads.empty());
-  return kFrameDigits + 1 + scan.payloads.front().size() + 1;
+  JournalReader reader(in);
+  EXPECT_TRUE(reader.next().has_value());
+  return reader.bytes_consumed();
 }
 
 std::string temp_path(const char* name) {
