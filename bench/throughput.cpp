@@ -5,11 +5,11 @@
 //
 // 1. Hot loop: a combined event-kernel churn — pop/schedule on the pending
 //    set plus a policy-driven pull extraction every 4th slot — run once on
-//    the seed structures (binary-heap EventQueue + O(n) scan PullQueue) and
-//    once on the fast ones (calendar queue + indexed γ-priority). Both runs
-//    fold every popped (time, id) and extracted item into a checksum, which
-//    must match exactly: the speedup only counts because the observable
-//    behavior is identical. Gate: >= 2x events/sec.
+//    the seed structures (reference binary-heap EventQueue + O(n) scan
+//    PullQueue) and once on the fast ones (indexed event heap + indexed
+//    γ-priority). Both runs fold every popped (time, id) and extracted item
+//    into a checksum, which must match exactly: the speedup only counts
+//    because the observable behavior is identical. Gate: >= 2x events/sec.
 // 2. Trace overhead: one fixed hybrid simulation with observability off vs
 //    on (all categories), timing the run itself — rendering/export happens
 //    at export time, outside the hot loop, which is the point of the binary
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
                     ops);
   });
   const LoopResult hot_fast = min_of(rounds, [&] {
-    return hot_loop(EventQueueKind::kCalendar,
+    return hot_loop(EventQueueKind::kIndexedHeap,
                     PullQueue::SelectMode::kIndexed, ops);
   });
   const bool hot_identical = hot_seed.checksum == hot_fast.checksum;
@@ -232,8 +232,8 @@ int main(int argc, char** argv) {
   const LoopResult eq_heap = min_of(rounds, [&] {
     return event_churn(EventQueueKind::kBinaryHeap, ops);
   });
-  const LoopResult eq_cal = min_of(rounds, [&] {
-    return event_churn(EventQueueKind::kCalendar, ops);
+  const LoopResult eq_indexed = min_of(rounds, [&] {
+    return event_churn(EventQueueKind::kIndexedHeap, ops);
   });
   const LoopResult pq_scan = min_of(rounds, [&] {
     return pull_churn(PullQueue::SelectMode::kScan, ops / 4);
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   const LoopResult pq_indexed = min_of(rounds, [&] {
     return pull_churn(PullQueue::SelectMode::kIndexed, ops / 4);
   });
-  const bool parts_identical = eq_heap.checksum == eq_cal.checksum &&
+  const bool parts_identical = eq_heap.checksum == eq_indexed.checksum &&
                                pq_scan.checksum == pq_indexed.checksum;
 
   // 3. Trace-enabled overhead of the full hybrid run. Export/report stay
@@ -311,9 +311,9 @@ int main(int argc, char** argv) {
       << "\n  },\n"
       << "  \"event_queue\": {\n"
       << "    \"heap_ms\": " << eq_heap.ms << ",\n"
-      << "    \"calendar_ms\": " << eq_cal.ms << ",\n"
+      << "    \"indexed_ms\": " << eq_indexed.ms << ",\n"
       << "    \"bit_identical\": "
-      << (eq_heap.checksum == eq_cal.checksum ? "true" : "false")
+      << (eq_heap.checksum == eq_indexed.checksum ? "true" : "false")
       << "\n  },\n"
       << "  \"pull_queue\": {\n"
       << "    \"scan_ms\": " << pq_scan.ms << ",\n"
@@ -333,8 +333,8 @@ int main(int argc, char** argv) {
   std::cout << "hot loop: seed " << hot_seed.ms << " ms, fast " << hot_fast.ms
             << " ms (speedup " << speedup << "x, "
             << (hot_identical ? "bit-identical" : "DIVERGED") << ")\n"
-            << "event queue: heap " << eq_heap.ms << " ms, calendar "
-            << eq_cal.ms << " ms\n"
+            << "event queue: heap " << eq_heap.ms << " ms, indexed heap "
+            << eq_indexed.ms << " ms\n"
             << "pull queue: scan " << pq_scan.ms << " ms, indexed "
             << pq_indexed.ms << " ms\n"
             << "trace overhead: " << trace_pct << "% (baseline " << off_ms

@@ -160,15 +160,15 @@ void HybridServer::arm_patience(const workload::Request& request) {
   }
   const des::EventId event = sim_.schedule_in(
       patience, [this, request]() { on_patience_expired(request); });
-  patience_.emplace(request.id, event);
+  patience_.insert(request.id, event);
 }
 
 void HybridServer::disarm_patience(workload::RequestId request) {
   if (config_.mean_patience <= 0.0) return;
-  const auto it = patience_.find(request);
-  if (it == patience_.end()) return;
-  sim_.cancel(it->second);
-  patience_.erase(it);
+  const des::EventId* event = patience_.find(request);
+  if (event == nullptr) return;
+  sim_.cancel(*event);
+  patience_.erase(request);
 }
 
 void HybridServer::on_patience_expired(const workload::Request& request) {
@@ -339,10 +339,10 @@ void HybridServer::arm_hedge(const workload::Request& request) {
 
 void HybridServer::disarm_hedge(workload::RequestId request) {
   if (!hedging()) return;
-  const auto it = hedge_timer_.find(request);
-  if (it == hedge_timer_.end()) return;
-  sim_.cancel(it->second);
-  hedge_timer_.erase(it);
+  const des::EventId* event = hedge_timer_.find(request);
+  if (event == nullptr) return;
+  sim_.cancel(*event);
+  hedge_timer_.erase(request);
 }
 
 void HybridServer::on_hedge_fire(const workload::Request& request) {
@@ -356,7 +356,7 @@ void HybridServer::on_hedge_fire(const workload::Request& request) {
   pull_queue_.add(dup, population_->priority(dup.cls),
                   catalog_->length(dup.item), catalog_->probability(dup.item));
   max_queue_len_ = std::max(max_queue_len_, pull_queue_.total_requests());
-  hedged_.insert(request.id);
+  hedged_.insert(request.id, true);
   ++hedges_posted_;
   trace_.emit<obs::Category::kRetry>(sim_.now(), "hedge", request.item,
                                      request.cls);
@@ -367,7 +367,7 @@ void HybridServer::on_hedge_fire(const workload::Request& request) {
 }
 
 void HybridServer::remove_hedge_dup(const workload::Request& primary) {
-  if (!hedging() || hedged_.erase(primary.id) == 0) return;
+  if (!hedging() || !hedged_.erase(primary.id)) return;
   // The duplicate rides the same item entry; it leaves with its primary.
   (void)pull_queue_.remove_request(primary.item, primary.id | kHedgeIdBit,
                                    population_->priority(primary.cls));
@@ -451,56 +451,63 @@ void HybridServer::serve_next(bool just_did_push) {
 void HybridServer::start_push(double now) {
   const catalog::ItemId item = push_sched_->next();
   // Only clients already waiting when the transmission starts catch it;
-  // arrivals during the airtime wait for the next replica.
-  std::vector<workload::Request> catching = std::move(push_waiters_[item]);
-  push_waiters_[item].clear();
+  // arrivals during the airtime wait for the next replica. The park is
+  // cleared in place, so it and the on-air buffer keep their capacity.
+  std::vector<workload::Request>& park = push_waiters_[item];
+  on_air_.kind = OnAir::Kind::kPush;
+  on_air_.item = item;
+  on_air_.catching.assign(park.begin(), park.end());
+  park.clear();
+  const std::vector<workload::Request>& catching = on_air_.catching;
   // Once the item is on air, the waiting clients are committed to it.
   for (const auto& r : catching) disarm_patience(r.id);
   trace_.emit<obs::Category::kPush>(now, "tx_start", item, catching.size(),
                                     catalog_->length(item));
   if (listener_) listener_->on_transmission(true, now, item, catching.size());
-  if (crash_active_) inflight_push_ = InFlightPush{item, catching};
   const std::uint64_t epoch = server_epoch_;
-  sim_.schedule_in(
-      catalog_->length(item),
-      [this, item, epoch, catching = std::move(catching)]() {
-        if (epoch != server_epoch_) return;  // voided by a crash
-        inflight_push_.reset();
-        ++push_transmissions_;
-        if (obs_) ++obs_->counters.push_tx;
-        trace_.emit<obs::Category::kPush>(sim_.now(), "tx_end", item,
-                                          catching.size());
-        if (transmission_corrupted()) {
-          // A corrupted broadcast needs no re-request: the item comes
-          // around again next cycle, so the waiters just rejoin the
-          // (re-armed) park and their delay grows by one period. Unless
-          // the ladder shrank the item out of the broadcast program while
-          // this replica was on air — then the park would strand them
-          // forever (no next cycle, and the shrink migration can't see
-          // passengers of an in-flight transmission), so they are pull
-          // requests again and re-enter through admission control.
-          // requeue_pull's wake is a no-op here (the server is busy), so
-          // the serve_next below still decides with every passenger
-          // queued.
-          ++corrupted_push_transmissions_;
-          if (obs_) ++obs_->counters.fault_corrupt_push;
-          trace_.emit<obs::Category::kFault>(sim_.now(), "corrupt_push", item,
-                                             catching.size());
-          const bool still_broadcast = item < effective_cutoff();
-          for (const auto& r : catching) {
-            if (measured(r)) collector_->record_corrupted(r.cls);
-            if (still_broadcast) {
-              push_waiters_[item].push_back(r);
-              arm_patience(r);
-            } else {
-              requeue_pull(r);
-            }
-          }
-        } else {
-          for (const auto& r : catching) deliver(r, true);
-        }
-        serve_next(/*just_did_push=*/true);
-      });
+  sim_.schedule_in(catalog_->length(item),
+                   [this, epoch]() { end_push(epoch); });
+}
+
+void HybridServer::end_push(std::uint64_t epoch) {
+  if (epoch != server_epoch_) return;  // voided by a crash
+  on_air_.kind = OnAir::Kind::kNone;
+  // Nothing below starts a transmission before the closing serve_next, so
+  // the record is stable while its passengers are settled.
+  const catalog::ItemId item = on_air_.item;
+  const std::vector<workload::Request>& catching = on_air_.catching;
+  ++push_transmissions_;
+  if (obs_) ++obs_->counters.push_tx;
+  trace_.emit<obs::Category::kPush>(sim_.now(), "tx_end", item,
+                                    catching.size());
+  if (transmission_corrupted()) {
+    // A corrupted broadcast needs no re-request: the item comes around
+    // again next cycle, so the waiters just rejoin the (re-armed) park and
+    // their delay grows by one period. Unless the ladder shrank the item
+    // out of the broadcast program while this replica was on air — then
+    // the park would strand them forever (no next cycle, and the shrink
+    // migration can't see passengers of an in-flight transmission), so
+    // they are pull requests again and re-enter through admission control.
+    // requeue_pull's wake is a no-op here (the server is busy), so the
+    // serve_next below still decides with every passenger queued.
+    ++corrupted_push_transmissions_;
+    if (obs_) ++obs_->counters.fault_corrupt_push;
+    trace_.emit<obs::Category::kFault>(sim_.now(), "corrupt_push", item,
+                                       catching.size());
+    const bool still_broadcast = item < effective_cutoff();
+    for (const auto& r : catching) {
+      if (measured(r)) collector_->record_corrupted(r.cls);
+      if (still_broadcast) {
+        push_waiters_[item].push_back(r);
+        arm_patience(r);
+      } else {
+        requeue_pull(r);
+      }
+    }
+  } else {
+    for (const auto& r : catching) deliver(r, true);
+  }
+  serve_next(/*just_did_push=*/true);
 }
 
 void HybridServer::start_pull(double now) {
@@ -560,37 +567,42 @@ void HybridServer::start_pull(double now) {
   if (listener_) {
     listener_->on_transmission(false, now, entry->item, entry->pending.size());
   }
-  if (crash_active_) inflight_pull_ = InFlightPull{*entry, cls, demand};
+  on_air_.kind = OnAir::Kind::kPull;
+  on_air_.entry = std::move(*entry);
+  on_air_.cls = cls;
+  on_air_.demand = demand;
   const std::uint64_t epoch = server_epoch_;
-  sim_.schedule_in(entry->length,
-                   [this, epoch, entry = std::move(*entry), cls, demand]() {
-                     if (epoch != server_epoch_) return;  // voided by a crash
-                     inflight_pull_.reset();
-                     bandwidth_.release(cls, demand);
-                     ++pull_transmissions_;
-                     if (obs_) ++obs_->counters.pull_tx;
-                     trace_.emit<obs::Category::kPull>(
-                         sim_.now(), "tx_end", entry.item,
-                         entry.pending.size());
-                     if (transmission_corrupted()) {
-                       ++corrupted_pull_transmissions_;
-                       if (obs_) ++obs_->counters.fault_corrupt_pull;
-                       trace_.emit<obs::Category::kFault>(
-                           sim_.now(), "corrupt_pull", entry.item,
-                           entry.pending.size());
-                       on_pull_corrupted(entry);
-                     } else {
-                       for (const auto& r : entry.pending) {
-                         if (is_hedge_dup(r)) {
-                           ++hedges_absorbed_;
-                           continue;
-                         }
-                         retry_count_.erase(r.id);
-                         deliver(r, false);
-                       }
-                     }
-                     serve_next(/*just_did_push=*/false);
-                   });
+  sim_.schedule_in(on_air_.entry.length,
+                   [this, epoch]() { end_pull(epoch); });
+}
+
+void HybridServer::end_pull(std::uint64_t epoch) {
+  if (epoch != server_epoch_) return;  // voided by a crash
+  on_air_.kind = OnAir::Kind::kNone;
+  // As in end_push, the record is stable until the closing serve_next.
+  const sched::PullEntry& entry = on_air_.entry;
+  bandwidth_.release(on_air_.cls, on_air_.demand);
+  ++pull_transmissions_;
+  if (obs_) ++obs_->counters.pull_tx;
+  trace_.emit<obs::Category::kPull>(sim_.now(), "tx_end", entry.item,
+                                    entry.pending.size());
+  if (transmission_corrupted()) {
+    ++corrupted_pull_transmissions_;
+    if (obs_) ++obs_->counters.fault_corrupt_pull;
+    trace_.emit<obs::Category::kFault>(sim_.now(), "corrupt_pull", entry.item,
+                                       entry.pending.size());
+    on_pull_corrupted(entry);
+  } else {
+    for (const auto& r : entry.pending) {
+      if (is_hedge_dup(r)) {
+        ++hedges_absorbed_;
+        continue;
+      }
+      retry_count_.erase(r.id);
+      deliver(r, false);
+    }
+  }
+  serve_next(/*just_did_push=*/false);
 }
 
 std::size_t HybridServer::effective_cutoff() const noexcept {
@@ -643,22 +655,21 @@ void HybridServer::on_crash() {
   // Clients committed to the on-air broadcast never got the item; their
   // state is client-side, so they simply rejoin the park and wait for the
   // next cycle after recovery.
-  if (inflight_push_.has_value()) {
-    for (const auto& r : inflight_push_->catching) {
-      push_waiters_[inflight_push_->item].push_back(r);
+  if (on_air_.kind == OnAir::Kind::kPush) {
+    for (const auto& r : on_air_.catching) {
+      push_waiters_[on_air_.item].push_back(r);
       arm_patience(r);
     }
-    inflight_push_.reset();
   }
 
   std::vector<workload::Request> storm;
   // The on-air pull transmission is lost with the server; its bandwidth
   // grant must be returned to the pool (the end event will never fire).
-  if (inflight_pull_.has_value()) {
-    bandwidth_.release(inflight_pull_->cls, inflight_pull_->demand);
-    for (const auto& r : inflight_pull_->entry.pending) storm.push_back(r);
-    inflight_pull_.reset();
+  if (on_air_.kind == OnAir::Kind::kPull) {
+    bandwidth_.release(on_air_.cls, on_air_.demand);
+    for (const auto& r : on_air_.entry.pending) storm.push_back(r);
   }
+  on_air_.kind = OnAir::Kind::kNone;
 
   // Queue state is server-side and dies with it. Warm recovery restores
   // the requests covered by the latest snapshot (decoded through the
@@ -908,8 +919,7 @@ void HybridServer::begin(std::span<const workload::Request> plan,
   const resilience::CrashConfig& crash = config_.resilience.crash;
   down_ = false;
   server_epoch_ = 0;
-  inflight_push_.reset();
-  inflight_pull_.reset();
+  on_air_.kind = OnAir::Kind::kNone;
   downtime_parked_.clear();
   storm_eng_.reset();
   latest_snapshot_.clear();

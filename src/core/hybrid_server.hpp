@@ -5,8 +5,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "catalog/catalog.hpp"
@@ -14,6 +12,7 @@
 #include "core/config.hpp"
 #include "core/pull_queue.hpp"
 #include "core/result.hpp"
+#include "des/id_map.hpp"
 #include "des/simulator.hpp"
 #include "fault/channel.hpp"
 #include "metrics/class_stats.hpp"
@@ -178,8 +177,6 @@ class HybridServer {
   }
 
  private:
-  enum class Phase { kPush, kPull };
-
   /// Resets run-scoped state and schedules the run's opening events: the
   /// crash schedule, the ladder, `plan`'s arrivals and the first
   /// transmission. `expected` requests must settle before the run is done.
@@ -189,6 +186,11 @@ class HybridServer {
   void serve_next(bool just_did_push);
   void start_push(double now);
   void start_pull(double now);
+  /// Transmission ends: deliver (or, corrupted, recover) the on-air
+  /// record's passengers, then serve the next slot. An end whose `epoch`
+  /// is stale was voided by a crash and does nothing.
+  void end_push(std::uint64_t epoch);
+  void end_pull(std::uint64_t epoch);
   void deliver(const workload::Request& request, bool via_push);
   void settle_one();
   void note_queue_len();
@@ -288,10 +290,10 @@ class HybridServer {
   std::vector<std::vector<workload::Request>> push_waiters_;
   // Pending abandonment timers, keyed by request id; a timer is disarmed
   // the moment its request is committed to a transmission (or dropped).
-  std::unordered_map<workload::RequestId, des::EventId> patience_;
+  des::IdMap<des::EventId> patience_;
   // Re-requests already issued per pull request, keyed by request id; an
   // entry exists only while the request has suffered >= 1 corruption.
-  std::unordered_map<workload::RequestId, std::uint32_t> retry_count_;
+  des::IdMap<std::uint32_t> retry_count_;
   std::unique_ptr<metrics::ClassCollector> collector_;
 
   // Run-scoped state.
@@ -316,34 +318,34 @@ class HybridServer {
 
   // --- hedging state ------------------------------------------------------
   // Pending hedge timers per primary, and the primaries whose duplicate is
-  // queued; both stay empty unless hedging().
-  std::unordered_map<workload::RequestId, des::EventId> hedge_timer_;
-  std::unordered_set<workload::RequestId> hedged_;
+  // queued (a set: the value is unused); both stay empty unless hedging().
+  des::IdMap<des::EventId> hedge_timer_;
+  des::IdMap<bool> hedged_;
   std::uint64_t hedges_posted_ = 0;
   std::uint64_t hedges_absorbed_ = 0;
 
   // --- resilience state ---------------------------------------------------
-  // True while a non-empty crash schedule is in force this run; in-flight
-  // transmissions are tracked (and the storm engine derived) only then, so
-  // the fault-free path stays untouched.
+  // True while a non-empty crash schedule is in force this run; the storm
+  // engine is derived only then, so the fault-free path stays untouched.
   bool crash_active_ = false;
   bool down_ = false;
   // Bumped by every crash; a transmission-end event whose captured epoch is
   // stale was voided by a crash and must not deliver.
   std::uint64_t server_epoch_ = 0;
-  // The transmission on air, kept here so a crash can unwind it. At most
-  // one exists at a time (the downlink is serial).
-  struct InFlightPush {
-    catalog::ItemId item = 0;
-    std::vector<workload::Request> catching;
+  // The transmission on air. At most one exists at a time (the downlink is
+  // serial): its end event reads it and a crash unwinds it. The buffers
+  // are kept across transmissions, so a warm server starts a push without
+  // allocating.
+  struct OnAir {
+    enum class Kind { kNone, kPush, kPull };
+    Kind kind = Kind::kNone;
+    catalog::ItemId item = 0;                 // push: the broadcast item
+    std::vector<workload::Request> catching;  // push: the committed waiters
+    sched::PullEntry entry;                   // pull: the extracted entry
+    workload::ClassId cls = 0;                // pull: the class charged
+    double demand = 0.0;                      // pull: the bandwidth grant
   };
-  struct InFlightPull {
-    sched::PullEntry entry;
-    workload::ClassId cls = 0;
-    double demand = 0.0;
-  };
-  std::optional<InFlightPush> inflight_push_;
-  std::optional<InFlightPull> inflight_pull_;
+  OnAir on_air_;
   // Pull work that arrived (or matured from a retry backoff) while the
   // server was dark; drained at recovery.
   std::vector<workload::Request> downtime_parked_;

@@ -4,12 +4,18 @@
 #include <stdexcept>
 #include <string>
 
+#include "des/id_map.hpp"
+
 namespace pushpull::core {
 
 void PullQueue::add(const workload::Request& request, double priority,
                     double length, double popularity) {
-  auto [it, inserted] = slot_of_.try_emplace(request.item, entries_.size());
-  if (inserted) {
+  if (request.item >= slot_of_.size()) {
+    slot_of_.resize(std::size_t{request.item} + 1, kNoSlot);
+  }
+  Slot& slot = slot_of_[request.item];
+  if (slot == kNoSlot) {
+    slot = des::narrow_slot<Slot>(entries_.size());
     sched::PullEntry entry;
     entry.item = request.item;
     entry.length = length;
@@ -24,11 +30,11 @@ void PullQueue::add(const workload::Request& request, double priority,
       tree_set_leaf(entries_.size() - 1);
     }
   }
-  auto& entry = entries_[it->second];
+  auto& entry = entries_[slot];
   entry.pending.push_back(request);
   entry.total_priority += priority;
   entry.total_arrival += request.arrival;
-  mark_dirty(it->second);
+  mark_dirty(slot);
   ++total_requests_;
   if (counters_ != nullptr) {
     ++counters_->enters;
@@ -37,8 +43,8 @@ void PullQueue::add(const workload::Request& request, double priority,
 }
 
 const sched::PullEntry* PullQueue::find(catalog::ItemId item) const {
-  const auto it = slot_of_.find(item);
-  return it == slot_of_.end() ? nullptr : &entries_[it->second];
+  const Slot slot = slot_of(item);
+  return slot == kNoSlot ? nullptr : &entries_[slot];
 }
 
 std::size_t PullQueue::select_by_scan(const sched::PullPolicy& policy,
@@ -157,19 +163,18 @@ std::size_t PullQueue::select_scaled(const sched::PullPolicy& policy,
 }
 
 std::optional<sched::PullEntry> PullQueue::extract(catalog::ItemId item) {
-  const auto it = slot_of_.find(item);
-  if (it == slot_of_.end()) return std::nullopt;
-  const std::size_t slot = it->second;
+  const Slot slot = slot_of(item);
+  if (slot == kNoSlot) return std::nullopt;
   const std::size_t back = entries_.size() - 1;
   sched::PullEntry out = std::move(entries_[slot]);
-  slot_of_.erase(it);
+  slot_of_[item] = kNoSlot;
   if (slot != back) {
     entries_[slot] = std::move(entries_.back());
     // The moved entry keeps its cached score; only its slot changed.
     scores_[slot] = scores_[back];
     if (is_dirty_[back] != 0 && is_dirty_[slot] == 0) {
       is_dirty_[slot] = 1;
-      dirty_.push_back(static_cast<Slot>(slot));
+      dirty_.push_back(slot);
     }
     slot_of_[entries_[slot].item] = slot;
   }
@@ -195,9 +200,9 @@ std::optional<sched::PullEntry> PullQueue::extract(catalog::ItemId item) {
 
 bool PullQueue::remove_request(catalog::ItemId item,
                                workload::RequestId request, double priority) {
-  const auto it = slot_of_.find(item);
-  if (it == slot_of_.end()) return false;
-  auto& entry = entries_[it->second];
+  const Slot slot = slot_of(item);
+  if (slot == kNoSlot) return false;
+  auto& entry = entries_[slot];
   auto pending_it = entry.pending.begin();
   for (; pending_it != entry.pending.end(); ++pending_it) {
     if (pending_it->id == request) break;
@@ -218,7 +223,7 @@ bool PullQueue::remove_request(catalog::ItemId item,
   for (const auto& r : entry.pending) {
     if (r.arrival < entry.first_arrival) entry.first_arrival = r.arrival;
   }
-  mark_dirty(it->second);
+  mark_dirty(slot);
   return true;
 }
 
@@ -226,8 +231,8 @@ void PullQueue::clear() {
   // A mid-run wipe (cold-recovery crash) discards every queued request, so
   // the enter/leave conservation tally still balances at run end.
   if (counters_ != nullptr) counters_->leaves += total_requests_;
+  for (const auto& entry : entries_) slot_of_[entry.item] = kNoSlot;
   entries_.clear();
-  slot_of_.clear();
   total_requests_ = 0;
   scores_.clear();
   is_dirty_.clear();

@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/counters.hpp"
@@ -19,8 +18,9 @@ namespace pushpull::core {
 /// item (the paper's R_i / Q_i / S_i bookkeeping), with policy-driven
 /// extraction of the most important entry.
 ///
-/// Storage is a dense vector with an item→slot index; removal swaps with
-/// the back, so insertion, lookup and removal are O(1). Selection has two
+/// Storage is a dense vector of entries with a dense item→slot index (one
+/// slot number per item id up to the largest seen); removal swaps with the
+/// back, so insertion, lookup and removal are O(1). Selection has two
 /// engines:
 ///
 /// - kIndexed (default): a cached key per entry plus a tournament max-tree
@@ -118,6 +118,10 @@ class PullQueue {
   using Slot = std::uint32_t;
   static constexpr Slot kNoSlot = std::numeric_limits<Slot>::max();
 
+  /// The item's slot, or kNoSlot when it has no entry.
+  [[nodiscard]] Slot slot_of(catalog::ItemId item) const noexcept {
+    return item < slot_of_.size() ? slot_of_[item] : kNoSlot;
+  }
   void mark_dirty(std::size_t slot);
   /// The reference selection: the exact legacy left-to-right fold.
   [[nodiscard]] std::size_t select_by_scan(const sched::PullPolicy& policy,
@@ -138,7 +142,7 @@ class PullQueue {
 
   SelectMode mode_ = SelectMode::kIndexed;
   std::vector<sched::PullEntry> entries_;
-  std::unordered_map<catalog::ItemId, std::size_t> slot_of_;
+  std::vector<Slot> slot_of_;  // item -> slot, kNoSlot when absent
   std::size_t total_requests_ = 0;
   obs::QueueCounters* counters_ = nullptr;
 

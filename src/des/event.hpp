@@ -15,9 +15,11 @@ using SimTime = double;
 /// handle.
 using EventId = std::uint64_t;
 
-/// Closure storage for event actions. 104 bytes covers the kernel's largest
-/// capture (the pull-transmission closure: server pointer + epoch + a full
-/// PullEntry + class + demand) so no scheduling path allocates per event.
+/// Closure storage for event actions. 104 bytes covers the largest capture
+/// still scheduled (the pull-transmission closures of AdaptiveHybridServer,
+/// ClosedLoopServer and MultiChannelServer: a server pointer plus a full
+/// PullEntry) so no scheduling path allocates per event. HybridServer's
+/// transmission ends capture only the server and an epoch.
 using EventAction = SmallFun<104>;
 
 /// A scheduled occurrence: at `time`, run `action`. Move-only: the action

@@ -37,8 +37,8 @@ class Simulator {
 
   Simulator() = default;
   /// Selects the pending-event-set backend (see EventQueueKind). The
-  /// default binary heap is the reference; kCalendar trades it for O(1)
-  /// amortized operations with bit-identical dispatch order.
+  /// default indexed heap is the production queue; kBinaryHeap is the
+  /// reference, with bit-identical dispatch order.
   explicit Simulator(EventQueueKind kind) : queue_(kind) {}
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }

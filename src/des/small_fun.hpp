@@ -14,8 +14,8 @@ namespace pushpull::des {
 /// the library's (small, implementation-defined) buffer — which every
 /// transmission-end closure does. SmallFun sizes the buffer to the
 /// kernel's real captures so events live entirely inside the pending-event
-/// containers (vector heap / calendar buckets): no per-event allocation,
-/// no pointer chase on dispatch.
+/// set's action slab: no per-event allocation, no pointer chase on
+/// dispatch.
 ///
 /// A callable is stored inline when it fits and is nothrow-move-
 /// constructible (moves happen during vector reallocation, where a throw

@@ -2,10 +2,13 @@
 // cancellation, horizons, stop requests and reuse.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
 #include "des/event_queue.hpp"
+#include "des/id_map.hpp"
 #include "des/simulator.hpp"
 
 namespace pushpull::des {
@@ -60,10 +63,9 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
 }
 
 TEST(EventQueue, NextTimeIsConstCorrect) {
-  // next_time() is a pure query: the lazy purge of cancelled heap entries
-  // it may trigger is not observable, so it must be callable through a
-  // const reference. Pinned at compile time, then exercised through a
-  // const view over a queue whose top is cancelled (the purge path).
+  // next_time() is a pure query, so it must be callable through a const
+  // reference. Pinned at compile time, then exercised through a const view
+  // over a queue whose top was cancelled.
   static_assert(
       std::is_invocable_r_v<SimTime, decltype(&EventQueue::next_time),
                             const EventQueue&>,
@@ -74,9 +76,20 @@ TEST(EventQueue, NextTimeIsConstCorrect) {
   q.cancel(1);
   const EventQueue& view = q;
   EXPECT_DOUBLE_EQ(view.next_time(), 4.0);
-  // The purge through the const view changed nothing observable.
+  // The query through the const view changed nothing observable.
   EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.pop().id, 2u);
+}
+
+TEST(EventQueue, SlotIndexBeyondSlotTypeRangeThrows) {
+  // The slot type's maximum is the "no slot" marker; one index short of
+  // it is the last usable slot, and anything beyond throws, not wraps.
+  EXPECT_EQ(narrow_slot<std::uint8_t>(254), 254u);
+  EXPECT_THROW((void)narrow_slot<std::uint8_t>(255), std::length_error);
+  EXPECT_THROW((void)narrow_slot<std::uint8_t>(256), std::length_error);
+  EXPECT_EQ(narrow_slot<std::uint32_t>(0xFFFFFFFEu), 0xFFFFFFFEu);
+  EXPECT_THROW((void)narrow_slot<std::uint32_t>(std::size_t{0xFFFFFFFFu}),
+               std::length_error);
 }
 
 TEST(EventQueue, ClearEmptiesEverything) {
@@ -168,6 +181,23 @@ TEST(Simulator, CancelAfterFireIsFalse) {
   const EventId id = sim.schedule_at(1.0, [] {});
   sim.run();
   EXPECT_FALSE(sim.cancel(id));
+}
+
+TEST(Simulator, CancelOfArrivalOrUnknownIdIsFalse) {
+  Simulator sim;
+  const std::vector<SimTime> arrivals = {1.0, 2.0};
+  const EventId first = sim.stream_arrivals(
+      {arrivals.size(), [&arrivals](std::size_t i) { return arrivals[i]; },
+       [](std::size_t) {}});
+  const EventId timer = sim.schedule_at(3.0, [] {});
+  EXPECT_FALSE(sim.cancel(first));      // streamed arrivals are not
+  EXPECT_FALSE(sim.cancel(first + 1));  // cancellable
+  EXPECT_FALSE(sim.cancel(timer + 1));  // never scheduled
+  EXPECT_EQ(sim.cancelled_events(), 0u);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_TRUE(sim.cancel(timer));
+  sim.run();
+  EXPECT_EQ(sim.dispatched_events(), 2u);
 }
 
 TEST(Simulator, RequestStopHaltsRun) {

@@ -4,72 +4,18 @@
 // and a corrupt length prefix never sizes an allocation in the reader.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <streambuf>
 #include <string>
 
+#include "counting_new.hpp"
 #include "serve/serve.hpp"
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<std::size_t> g_news{0};
-std::atomic<std::size_t> g_deletes{0};
-std::atomic<std::size_t> g_largest{0};
-
-void* counted_new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    std::size_t largest = g_largest.load(std::memory_order_relaxed);
-    while (size > largest &&
-           !g_largest.compare_exchange_weak(largest, size,
-                                            std::memory_order_relaxed)) {
-    }
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void counted_delete(void* p) noexcept {
-  if (p != nullptr && g_counting.load(std::memory_order_relaxed)) {
-    g_deletes.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::free(p);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_new(size); }
-void* operator new[](std::size_t size) { return counted_new(size); }
-void operator delete(void* p) noexcept { counted_delete(p); }
-void operator delete[](void* p) noexcept { counted_delete(p); }
-void operator delete(void* p, std::size_t) noexcept { counted_delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { counted_delete(p); }
 
 namespace pushpull::serve {
 namespace {
 
-/// Counts the allocations made while it is alive.
-class AllocationCount {
- public:
-  AllocationCount() {
-    g_news = 0;
-    g_deletes = 0;
-    g_largest = 0;
-    g_counting = true;
-  }
-  ~AllocationCount() { g_counting = false; }
-  AllocationCount(const AllocationCount&) = delete;
-  AllocationCount& operator=(const AllocationCount&) = delete;
-
-  [[nodiscard]] std::size_t news() const { return g_news; }
-  [[nodiscard]] std::size_t deletes() const { return g_deletes; }
-  [[nodiscard]] std::size_t largest() const { return g_largest; }
-};
+using pushpull::alloc_count::AllocationCount;
 
 /// A sink that discards what it is given without allocating.
 class DiscardBuf final : public std::streambuf {
