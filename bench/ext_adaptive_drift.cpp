@@ -3,13 +3,13 @@
 // exercised on a workload where the hot set actually moves).
 //
 // Sweeps the drift speed (epoch length; shorter = faster drift) and
-// compares a static rank-prefix cutoff against the adaptive server that
-// re-learns popularity online. Expected shape: roughly even on stationary
+// compares a static rank-prefix cutoff against the re-optimizing server
+// (HybridConfig::reoptimize_interval) that re-learns popularity online. Expected shape: roughly even on stationary
 // workloads, adaptive increasingly ahead as drift accelerates.
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/adaptive_server.hpp"
+#include "core/hybrid_server.hpp"
 #include "workload/drifting_generator.hpp"
 
 int main(int argc, char** argv) {
@@ -36,14 +36,11 @@ int main(int argc, char** argv) {
     core::HybridServer fixed(cat, pop, static_config);
     const core::SimResult rs = fixed.run(trace);
 
-    core::AdaptiveConfig adaptive;
-    adaptive.initial_cutoff = 30;
-    adaptive.alpha = 0.5;
+    core::HybridConfig adaptive = static_config;
     adaptive.reoptimize_interval = 100.0;
     adaptive.estimator_half_life = 150.0;
-    adaptive.scan_step = 5;
-    core::AdaptiveHybridServer dynamic(cat, pop, adaptive);
-    const core::AdaptiveResult ra = dynamic.run(trace);
+    core::HybridServer dynamic(cat, pop, adaptive);
+    const core::SimResult ra = dynamic.run(trace);
 
     const double sd = rs.overall().wait.mean();
     const double ad = ra.overall().wait.mean();

@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/closed_loop.hpp"
+#include "core/hybrid_server.hpp"
 
 int main(int argc, char** argv) {
   using namespace pushpull;
@@ -23,15 +23,17 @@ int main(int argc, char** argv) {
   for (std::size_t clients : {std::size_t{10}, std::size_t{25},
                               std::size_t{50}, std::size_t{100},
                               std::size_t{200}, std::size_t{400}}) {
-    core::ClosedLoopConfig config;
-    config.num_clients = clients;
-    config.think_rate = 0.05;
+    core::HybridConfig config;
     config.cutoff = 15;
     config.alpha = 0.25;
-    config.horizon = 20000.0;
+    config.warmup_fraction = 0.1;
     config.seed = opts.seed;
-    core::ClosedLoopServer server(cat, pop, config);
-    const core::ClosedLoopResult r = server.run();
+    core::ClosedLoop loop;
+    loop.clients = clients;
+    loop.think_rate = 0.05;
+    loop.horizon = 20000.0;
+    core::HybridServer server(cat, pop, config);
+    const core::SimResult r = server.run(loop);
     const double a = r.mean_wait(0);
     const double c = r.mean_wait(2);
     table.row()

@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "core/multichannel_server.hpp"
+#include "core/hybrid_server.hpp"
 
 int main(int argc, char** argv) {
   using namespace pushpull;
@@ -36,14 +36,13 @@ int main(int argc, char** argv) {
 
   for (std::size_t channels : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                                std::size_t{4}}) {
-    core::MultiChannelConfig config;
-    config.cutoff = 20;
-    config.alpha = 0.25;
-    config.num_pull_channels = channels;
-    core::MultiChannelServer server(built.catalog, built.population, config);
-    const core::MultiChannelResult r = server.run(built.trace);
+    core::HybridConfig config = shared;
+    config.pull_channels = channels;
+    const core::SimResult r = exp::run_hybrid(built, config);
     double mean_util = 0.0;
-    for (double u : r.pull_channel_utilization) mean_util += u;
+    for (std::size_t c = 1; c <= channels; ++c) {
+      mean_util += r.channel_utilization[c];
+    }
     mean_util /= static_cast<double>(channels);
     table.row()
         .add("bcast + " + std::to_string(channels) + " pull ch")

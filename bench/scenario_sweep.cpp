@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/adaptive_server.hpp"
 #include "core/hybrid_server.hpp"
 #include "exp/chaos.hpp"
 #include "metrics/float_compare.hpp"
@@ -170,15 +169,10 @@ int main(int argc, char** argv) {
   const core::SimResult rs = exp::run_hybrid(flash_built, static_config);
   const double static_cost = rs.total_prioritized_cost(flash_built.population);
 
-  core::AdaptiveConfig adaptive;
-  adaptive.initial_cutoff = 40;
-  adaptive.alpha = 0.5;
+  core::HybridConfig adaptive = static_config;
   adaptive.reoptimize_interval = 200.0;
   adaptive.estimator_half_life = 300.0;
-  adaptive.scan_step = 5;
-  core::AdaptiveHybridServer dynamic(flash_built.catalog,
-                                     flash_built.population, adaptive);
-  const core::AdaptiveResult ra = dynamic.run(flash_built.trace);
+  const core::SimResult ra = exp::run_hybrid(flash_built, adaptive);
   const double adaptive_cost =
       ra.total_prioritized_cost(flash_built.population);
   const bool adaptive_wins = adaptive_cost < static_cost;

@@ -1,10 +1,10 @@
 // Adaptive scheduling under drift: the hot items change every epoch (think
-// breaking news cycles); a static push set goes stale, while the adaptive
-// server re-learns popularity online and re-optimizes the cutoff. This
+// breaking news cycles); a static push set goes stale, while a server with
+// the periodic re-optimizer re-learns popularity online and re-picks the
+// cutoff. This
 // example prints the cutoff trajectory so you can watch it track the drift.
 #include <iostream>
 
-#include "core/adaptive_server.hpp"
 #include "core/hybrid_server.hpp"
 #include "exp/table.hpp"
 #include "workload/drifting_generator.hpp"
@@ -30,16 +30,13 @@ int main() {
   core::HybridServer fixed(cat, pop, static_config);
   const core::SimResult rs = fixed.run(trace);
 
-  // Adaptive server: EWMA popularity estimate, analytic K-scan every 150
-  // units, pending requests migrated across the boundary.
-  core::AdaptiveConfig adaptive;
-  adaptive.initial_cutoff = 30;
-  adaptive.alpha = 0.5;
+  // Re-optimizing server: EWMA popularity estimate, analytic K-scan every
+  // 150 units, pending requests migrated across the boundary.
+  core::HybridConfig adaptive = static_config;
   adaptive.reoptimize_interval = 150.0;
   adaptive.estimator_half_life = 200.0;
-  adaptive.scan_step = 5;
-  core::AdaptiveHybridServer dynamic(cat, pop, adaptive);
-  const core::AdaptiveResult ra = dynamic.run(trace);
+  core::HybridServer dynamic(cat, pop, adaptive);
+  const core::SimResult ra = dynamic.run(trace);
 
   exp::Table compare({"server", "delay A", "delay B", "delay C", "overall",
                       "total cost"});

@@ -19,6 +19,26 @@ struct HybridConfig {
   /// Cutoff point K: items [0, K) are pushed, [K, D) pulled.
   std::size_t cutoff = 0;
 
+  /// Channel layout. 0 is the paper's single downlink, alternating one
+  /// pull opportunity after every push. m >= 1 dedicates a broadcast
+  /// channel that cycles the push program back to back and adds m pull
+  /// channels, each transmitting the most important entry the moment it
+  /// frees up (the multi-channel broadcast setting of Kenyon, Schabanel
+  /// and Young's data-broadcast PTAS).
+  std::size_t pull_channels = 0;
+
+  /// Cutoff controller. 0 keeps the push set at the top `cutoff` items of
+  /// the catalog's rank order. > 0 re-optimizes every
+  /// `reoptimize_interval` time units (§3, "periodically the algorithm is
+  /// executed for different cutoff-points"): an online popularity estimate
+  /// ranks the items, the analytic access-time model re-picks K against
+  /// that ranking and the measured arrival rate, and the push set becomes
+  /// the top K of the ranking.
+  double reoptimize_interval = 0.0;
+
+  /// Half-life, in virtual time, of the re-optimizer's popularity estimate.
+  double estimator_half_life = 300.0;
+
   /// Importance-factor weight α in Eq. 1 / Eq. 6 (ignored by other pull
   /// policies).
   double alpha = 0.5;
@@ -78,7 +98,8 @@ struct HybridConfig {
   resilience::ResilienceConfig resilience;
 
   /// Fraction of each run treated as warm-up: requests arriving before this
-  /// fraction of the trace span are simulated but excluded from statistics.
+  /// fraction of the trace span (of the horizon, for a closed loop) are
+  /// simulated but excluded from statistics.
   double warmup_fraction = 0.0;
 
   /// Observability layer (tracing, counters, histograms). Default-off and
@@ -86,6 +107,16 @@ struct HybridConfig {
   /// perspective, so enabling it never changes a single output number —
   /// which is also why it is excluded from replication fingerprints.
   obs::ObsConfig obs;
+};
+
+/// Closed-loop arrival source (HybridServer::run(const ClosedLoop&)): a
+/// finite population of `clients` — the paper's C of §4.1 — each thinking
+/// for an exponential time of rate `think_rate`, then issuing one request
+/// and waiting until it settles. The run stops at `horizon`.
+struct ClosedLoop {
+  std::size_t clients = 50;
+  double think_rate = 0.05;
+  double horizon = 20000.0;
 };
 
 }  // namespace pushpull::core

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "des/event.hpp"
@@ -57,6 +59,20 @@ struct SimResult {
   /// server's structures: zero for a completed run, the parked push waiters
   /// after HybridServer::drain.
   std::uint64_t unsettled = 0;
+
+  /// Cutoff re-optimizations run, and the controller's K after each one,
+  /// starting with the configured K at time 0 (both empty unless
+  /// HybridConfig::reoptimize_interval > 0).
+  std::uint64_t reoptimizations = 0;
+  std::vector<std::pair<des::SimTime, std::size_t>> cutoff_history;
+  /// Busy airtime over end_time, per channel: [0] is the shared channel
+  /// or, with pull channels, the broadcast channel; [1..m] the pull
+  /// channels. Airtime is charged when a transmission starts, so a
+  /// broadcast still in flight at the end can lift a figure above 1.
+  std::vector<double> channel_utilization;
+  /// Closed-loop runs: deliveries per time unit over the measured window
+  /// (the horizon less its warm-up); 0 for a trace.
+  double throughput = 0.0;
 
   /// Transmissions that actually carried data to clients, corrupted or not
   /// (the server's *throughput* in airtime slots).

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "airindex/one_m_index.hpp"
+#include "core/hybrid_server.hpp"
 #include "workload/trace.hpp"
 
 namespace pushpull::scenario {
@@ -51,7 +52,7 @@ MulticellResult run_multicell(const catalog::Catalog& cat,
     if (slices[c].empty()) {
       cell.result.per_class.assign(pop.num_classes(), metrics::ClassStats{});
     } else {
-      core::MultiChannelServer server(cat, pop, config.channel);
+      core::HybridServer server(cat, pop, config.channel);
       cell.result = server.run(workload::Trace(std::move(slices[c])));
     }
     if (config.channel.cutoff >= 1 && config.index_airtime > 0.0) {

@@ -5,18 +5,25 @@
 #include <vector>
 
 #include "catalog/catalog.hpp"
-#include "core/multichannel_server.hpp"
+#include "core/config.hpp"
+#include "core/result.hpp"
 #include "metrics/class_stats.hpp"
 #include "scenario/shaper.hpp"
 #include "workload/population.hpp"
 
 namespace pushpull::scenario {
 
-/// A small cellular deployment: `cells` independent multi-channel hybrid
-/// servers, each serving the shaped requests homed (or re-homed) to it.
+/// A small cellular deployment: `cells` independent hybrid servers, each
+/// serving the shaped requests homed (or re-homed) to it.
 struct MulticellConfig {
   std::size_t cells = 2;
-  core::MultiChannelConfig channel;
+  /// Each cell's server; by default a dedicated broadcast channel plus one
+  /// pull channel.
+  core::HybridConfig channel = [] {
+    core::HybridConfig config;
+    config.pull_channels = 1;
+    return config;
+  }();
   /// Airtime of one (1, m) index copy for the per-cell energy score; the
   /// number of copies is chosen per cell via OneMIndexModel::optimal_m.
   double index_airtime = 1.0;
@@ -25,7 +32,7 @@ struct MulticellConfig {
 /// Per-cell outcome: engine counters plus the cell's (1, m) air-index
 /// energy score at the optimal m for its push set.
 struct CellOutcome {
-  core::MultiChannelResult result;
+  core::SimResult result;
   std::uint64_t offered = 0;          ///< requests served by this cell
   std::uint64_t inbound_handoffs = 0; ///< requests whose home was elsewhere
   std::size_t index_m = 0;            ///< m* used for the energy score
@@ -52,7 +59,7 @@ struct MulticellResult {
 /// Runs a shaped trace across `config.cells` independent cells: the trace
 /// is split by ShapedTrace::cell (everything lands in cell 0 when the
 /// shaper ran single-cell), each slice replays through its own
-/// core::MultiChannelServer, and the per-class counters merge in cell
+/// core::HybridServer, and the per-class counters merge in cell
 /// order — deterministic because the split preserves arrival order and
 /// every engine is seeded by its own trace slice alone.
 ///

@@ -32,12 +32,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/adaptive_server.hpp"
 #include "lint.hpp"
 #include "report.hpp"
-#include "core/closed_loop.hpp"
 #include "core/cutoff_optimizer.hpp"
-#include "core/multichannel_server.hpp"
+#include "core/hybrid_server.hpp"
 #include "exp/chaos.hpp"
 #include "exp/cli.hpp"
 #include "exp/replication.hpp"
@@ -581,10 +579,12 @@ int cmd_replicate(const exp::ArgParser& args) {
 }
 
 int cmd_adaptive(const exp::ArgParser& args) {
-  // Runs the adaptive server on a drifting workload and prints the cutoff
-  // trajectory alongside the delivered QoS.
-  args.require_known(kScenarioOpts, {"epoch", "shift", "cutoff", "alpha",
-                                     "interval", "half-life"});
+  // Runs the re-optimizing server on a drifting workload and prints the
+  // cutoff trajectory alongside the delivered QoS. The drift generator is
+  // the workload, so the scenario preset flags do not apply.
+  args.require_known({"theta", "items", "rate", "requests", "seed", "jobs",
+                      "csv", "epoch", "shift", "cutoff", "alpha", "interval",
+                      "half-life"});
   const auto scenario = scenario_from(args);
   catalog::Catalog cat(scenario.num_items, scenario.theta,
                        catalog::LengthModel(scenario.min_length,
@@ -600,13 +600,13 @@ int cmd_adaptive(const exp::ArgParser& args) {
   const workload::Trace trace =
       workload::Trace::record(gen, scenario.num_requests);
 
-  core::AdaptiveConfig config;
-  config.initial_cutoff = args.get_size("cutoff", 30);
+  core::HybridConfig config;
+  config.cutoff = args.get_size("cutoff", 30);
   config.alpha = args.get_double("alpha", 0.5);
   config.reoptimize_interval = args.get_double("interval", 200.0);
   config.estimator_half_life = args.get_double("half-life", 300.0);
-  core::AdaptiveHybridServer server(cat, pop, config);
-  const core::AdaptiveResult r = server.run(trace);
+  core::HybridServer server(cat, pop, config);
+  const core::SimResult r = server.run(trace);
 
   exp::Table table({"class", "mean delay", "p-cost"});
   for (workload::ClassId c = 0; c < pop.num_classes(); ++c) {
@@ -626,12 +626,15 @@ int cmd_adaptive(const exp::ArgParser& args) {
 int cmd_multichannel(const exp::ArgParser& args) {
   args.require_known(kScenarioOpts, {"cutoff", "alpha", "channels"});
   const auto built = scenario_from(args).build();
-  core::MultiChannelConfig config;
+  core::HybridConfig config;
   config.cutoff = args.get_size("cutoff", 40);
   config.alpha = args.get_double("alpha", 0.5);
-  config.num_pull_channels = args.get_size("channels", 2);
-  core::MultiChannelServer server(built.catalog, built.population, config);
-  const core::MultiChannelResult r = server.run(built.trace);
+  config.pull_channels = args.get_size("channels", 2);
+  if (config.pull_channels == 0) {
+    throw std::invalid_argument("--channels must be at least 1");
+  }
+  core::HybridServer server(built.catalog, built.population, config);
+  const core::SimResult r = server.run(built.trace);
 
   exp::Table table({"class", "mean delay", "p99", "p-cost"});
   for (workload::ClassId c = 0; c < built.population.num_classes(); ++c) {
@@ -642,16 +645,20 @@ int cmd_multichannel(const exp::ArgParser& args) {
         .add(built.population.priority(c) * r.mean_wait(c), 2);
   }
   print_table(table, args);
-  std::cout << "push channel util " << r.push_channel_utilization
+  std::cout << "push channel util " << r.channel_utilization[0]
             << ", pull channels:";
-  for (double u : r.pull_channel_utilization) std::cout << ' ' << u;
+  for (std::size_t c = 1; c < r.channel_utilization.size(); ++c) {
+    std::cout << ' ' << r.channel_utilization[c];
+  }
   std::cout << "\n";
   return 0;
 }
 
 int cmd_closedloop(const exp::ArgParser& args) {
-  args.require_known(kScenarioOpts, {"clients", "think-rate", "cutoff",
-                                     "alpha", "horizon"});
+  // The clients generate the load, so the trace-shaping flags (--rate,
+  // --requests and the scenario preset) do not apply.
+  args.require_known({"theta", "items", "seed", "jobs", "csv", "clients",
+                      "think-rate", "cutoff", "alpha", "horizon"});
   const auto scenario = scenario_from(args);
   catalog::Catalog cat(scenario.num_items, scenario.theta,
                        catalog::LengthModel(scenario.min_length,
@@ -660,15 +667,17 @@ int cmd_closedloop(const exp::ArgParser& args) {
                        scenario.seed);
   const auto pop = workload::ClientPopulation::zipf_classes(
       scenario.num_classes, scenario.class_zipf_theta);
-  core::ClosedLoopConfig config;
-  config.num_clients = args.get_size("clients", 50);
-  config.think_rate = args.get_double("think-rate", 0.05);
+  core::HybridConfig config;
   config.cutoff = args.get_size("cutoff", 15);
   config.alpha = args.get_double("alpha", 0.25);
-  config.horizon = args.get_double("horizon", 20000.0);
+  config.warmup_fraction = 0.1;
   config.seed = scenario.seed;
-  core::ClosedLoopServer server(cat, pop, config);
-  const core::ClosedLoopResult r = server.run();
+  core::ClosedLoop loop;
+  loop.clients = args.get_size("clients", 50);
+  loop.think_rate = args.get_double("think-rate", 0.05);
+  loop.horizon = args.get_double("horizon", 20000.0);
+  core::HybridServer server(cat, pop, config);
+  const core::SimResult r = server.run(loop);
 
   exp::Table table({"class", "arrived", "mean delay"});
   for (workload::ClassId c = 0; c < pop.num_classes(); ++c) {
@@ -1176,10 +1185,12 @@ commands:
   model        evaluate the analytical access-time model at one cutoff
   replicate    run many seeds, report means with 95% confidence intervals
                (--jobs N parallel workers; output is bit-identical for any N)
-  adaptive     adaptive server on a drifting workload (--epoch, --shift)
+  adaptive     re-optimizing server (--interval, --half-life) on a drifting
+               workload (--epoch, --shift)
   multichannel dedicated broadcast channel + N pull channels (--channels)
   uplink       push the trace through the slotted-ALOHA back-channel
-  closedloop   finite client population (--clients, --think-rate)
+  closedloop   finite client population (--clients, --think-rate,
+               --horizon)
   chaos        seeded chaos/soak harness: crashes + burst errors + arrival
                spike over N replications, with a machine-verified invariant
                suite (exit 1 on any violation)
