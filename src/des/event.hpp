@@ -15,11 +15,12 @@ using SimTime = double;
 /// handle.
 using EventId = std::uint64_t;
 
-/// Closure storage for event actions. 104 bytes covers the largest capture
-/// still scheduled (the pull-transmission closures of AdaptiveHybridServer,
-/// ClosedLoopServer and MultiChannelServer: a server pointer plus a full
-/// PullEntry) so no scheduling path allocates per event. HybridServer's
-/// transmission ends capture only the server and an epoch.
+/// Closure storage for event actions, inline so no scheduling path
+/// allocates per event. No closure captures a PullEntry any more: the
+/// largest capture is HybridServer's storm re-request (the server, a
+/// Request and the crash time, 40 bytes), and a transmission end captures
+/// only the server, a channel and an epoch. 104 bytes is the size that
+/// PullEntry captures needed; the record can shrink.
 using EventAction = SmallFun<104>;
 
 /// A scheduled occurrence: at `time`, run `action`. Move-only: the action

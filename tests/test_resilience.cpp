@@ -22,6 +22,7 @@
 #include "resilience/resilience_config.hpp"
 #include "resilience/snapshot.hpp"
 #include "rng/stream.hpp"
+#include "storm_audit.hpp"
 
 namespace pushpull {
 namespace {
@@ -306,6 +307,83 @@ TEST(CrashRecovery, WarmWithEmptyScheduleEqualsFaultFreeBitExactly) {
 
   EXPECT_EQ(exp::serialize_result(exp::run_hybrid(built, plain)),
             exp::serialize_result(exp::run_hybrid(built, armed)));
+}
+
+// A crash that catches a broadcast whose item the ladder shrank out of the
+// push set during the airtime must storm its passengers: re-parked on an
+// item no cycle carries, they would wait for a later widen-push, or
+// forever. The audit balances every storm of a run that hits this.
+TEST(CrashRecovery, StormsBroadcastPassengersOfAnItemNoLongerPushed) {
+  exp::Scenario scenario;
+  scenario.num_items = 100;
+  scenario.num_requests = 20000;
+  scenario.arrival_rate = 0.4;
+  scenario.seed = 2;
+  const auto built = scenario.build();
+  core::HybridConfig config;
+  config.cutoff = 10;
+  config.seed = 2;
+  config.resilience.crash.enabled = true;
+  config.resilience.crash.rate = 0.05;
+  config.resilience.crash.downtime = 0.5;
+  config.resilience.crash.max_crashes = 100000;
+  config.resilience.overload.enabled = true;
+  config.resilience.overload.eval_interval = 0.3;
+  config.resilience.overload.capacity_ref = 24;
+  config.resilience.overload.cutoff_step = 30;
+  config.resilience.overload.enter = {0.30, 0.40, 0.95, 0.99};
+  config.resilience.overload.exit = {0.20, 0.35, 0.90, 0.97};
+
+  test::StormAudit audit;
+  core::HybridServer server(built.catalog, built.population, config);
+  server.set_tracer(audit.tracer());
+  const auto result = server.run(built.trace.requests(), 0.0, &audit);
+
+  const auto verdict = audit.check(config.cutoff);
+  EXPECT_TRUE(verdict.failures.empty()) << verdict.failures;
+  EXPECT_GT(verdict.broadcasts_stormed, 0u)
+      << "the run must reach the shrink-then-crash path";
+  EXPECT_EQ(verdict.crashes, result.crashes);
+  resilience::InvariantInputs in;
+  in.per_class = result.per_class;
+  in.max_queue_len = result.max_pull_queue_len;
+  in.event_order_violations = result.event_order_violations;
+  in.end_time = result.end_time;
+  const auto report = resilience::check_invariants(in);
+  EXPECT_TRUE(report.all_pass()) << resilience::format_report(report);
+}
+
+// Storm re-requests are pending work: a drain must wait for them, and the
+// ledger must count them, so arrived = settled + unsettled however the
+// drain lands among the crashes.
+TEST(CrashRecovery, DrainDuringAStormKeepsTheLedger) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    exp::Scenario scenario;
+    scenario.num_requests = 4000;
+    scenario.seed = seed;
+    const auto built = scenario.build();
+    core::HybridConfig config;
+    config.cutoff = 20;
+    config.seed = seed;
+    config.resilience.crash.enabled = true;
+    config.resilience.crash.rate = 0.01;
+    config.resilience.crash.downtime = 20.0;
+    for (const double share : {0.3, 0.5, 0.7, 0.9}) {
+      core::HybridServer server(built.catalog, built.population, config);
+      const auto r = server.run(built.trace.requests(),
+                                share * built.trace.span(), nullptr);
+      std::uint64_t arrived = 0;
+      std::uint64_t settled = 0;
+      for (const auto& s : r.per_class) {
+        arrived += s.arrived;
+        settled += s.served + s.blocked + s.abandoned + s.shed + s.lost +
+                   s.rejected;
+      }
+      EXPECT_GT(r.crashes, 0u) << "seed " << seed << " drain " << share;
+      EXPECT_EQ(arrived, settled + r.unsettled)
+          << "seed " << seed << " drain " << share;
+    }
+  }
 }
 
 TEST(DegradationLadder, EngagesUnderPressureAndKeepsConservation) {
