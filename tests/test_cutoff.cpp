@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "core/cutoff_optimizer.hpp"
+#include "obs/category.hpp"
+#include "obs/trace.hpp"
 
 namespace pushpull::core {
 namespace {
@@ -69,6 +71,27 @@ TEST(CutoffScan, CurveIsStrictlyIncreasingInCutoff) {
   for (std::size_t i = 1; i < scan.curve.size(); ++i) {
     EXPECT_LT(scan.curve[i - 1].cutoff, scan.curve[i].cutoff);
   }
+}
+
+TEST(CutoffScan, TracedScanEmitsEverySampleThenTheBest) {
+  const auto cost = [](std::size_t k) {
+    const double x = static_cast<double>(k);
+    return (x - 12.0) * (x - 12.0);
+  };
+  obs::TraceSink sink(64, obs::kAllCategories);
+  const CutoffScan traced =
+      scan_cutoffs(0, 30, 4, cost, obs::Tracer(&sink));
+  const CutoffScan plain = scan_cutoffs(0, 30, 4, cost);
+  EXPECT_EQ(traced.best_cutoff, plain.best_cutoff);
+  const auto events = sink.snapshot();
+  ASSERT_EQ(events.size(), plain.curve.size() + 1);
+  for (std::size_t i = 0; i < plain.curve.size(); ++i) {
+    EXPECT_STREQ(events[i].name, "sample");
+    EXPECT_EQ(events[i].a, plain.curve[i].cutoff);
+    EXPECT_EQ(events[i].v, plain.curve[i].cost);
+  }
+  EXPECT_STREQ(events.back().name, "best");
+  EXPECT_EQ(events.back().a, plain.best_cutoff);
 }
 
 }  // namespace

@@ -200,6 +200,12 @@ TEST(FaultInjection, CorruptionDelaysButStillServesWithoutPatience) {
   EXPECT_GT(after.corrupted_push_transmissions +
                 after.corrupted_pull_transmissions,
             0u);
+  // The voided share of the airtime slots: none on a perfect channel.
+  EXPECT_EQ(before.corruption_ratio(), 0.0);
+  EXPECT_GT(after.corruption_ratio(), 0.0);
+  EXPECT_LT(after.corruption_ratio(), 1.0);
+  EXPECT_EQ(after.total_transmissions(),
+            after.push_transmissions + after.pull_transmissions);
 }
 
 TEST(FaultInjection, BoundedRetriesProduceLostRequests) {
