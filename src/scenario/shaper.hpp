@@ -93,13 +93,18 @@ inline constexpr double kHandoffDelayMax = 1.25;
 ///     request is lost with kHandoffLossFraction, otherwise re-homed with
 ///     a hash-derived latency in [kHandoffDelayMin, kHandoffDelayMax).
 ///
-/// Surviving requests are re-sorted by (arrival, id) — handoff latency can
-/// locally reorder — and keep their original ids. An empty timeline
-/// returns the trace unchanged with an inactive summary. The identity
-/// base_per_class == offered_per_class + handoff_lost holds per class by
-/// construction and is re-verified downstream by
-/// resilience::check_invariants.
-[[nodiscard]] ShapedTrace shape_trace(const workload::Trace& base,
+/// Surviving requests keep their original ids and are re-sorted by
+/// (arrival, id) only when a handoff latency broke that order. Ids are
+/// unique, so the order is total and the result does not depend on the
+/// sort. An empty timeline returns the trace unchanged with an inactive
+/// summary. The identity base_per_class == offered_per_class +
+/// handoff_lost holds per class by construction and is re-verified
+/// downstream by resilience::check_invariants.
+///
+/// The base is taken by value and shaped in its own buffer, so a caller
+/// that moves its trace in holds one trace, not a copy per stage; with
+/// `cells` = 1 shaping allocates nothing proportional to the trace.
+[[nodiscard]] ShapedTrace shape_trace(workload::Trace base,
                                       const Timeline& timeline,
                                       std::uint64_t seed,
                                       std::size_t num_items,

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "workload/request.hpp"
@@ -47,6 +48,13 @@ class Trace {
   }
   [[nodiscard]] const Request& operator[](std::size_t i) const noexcept {
     return requests_[i];
+  }
+
+  /// Hands the request vector over and leaves the trace empty, so a
+  /// consumer that rewrites every request (scenario::shape_trace) reuses
+  /// this buffer instead of copying it.
+  [[nodiscard]] std::vector<Request> release() && {
+    return std::move(requests_);
   }
 
   /// Arrival time of the last request (0 for an empty trace).
