@@ -65,6 +65,12 @@ struct Scenario {
   void validate() const;
 
   [[nodiscard]] Built build() const;
+
+  /// The catalog and population build() materializes, without recording a
+  /// trace (the analytic model needs nothing else). Neither validates;
+  /// call validate() first.
+  [[nodiscard]] catalog::Catalog build_catalog() const;
+  [[nodiscard]] workload::ClientPopulation build_population() const;
 };
 
 /// Runs the hybrid server for one configuration over a built scenario.

@@ -336,7 +336,7 @@ TEST(ServerGoldens, ClosedloopCliIsByteIdentical) {
       "cli_closedloop_custom.txt");
 }
 
-// --- flags the closed loop and the drift run would ignore ---------------
+// --- flags the closed loop, the drift run and the model would ignore -----
 
 /// The command exits 1 with the parser's `unknown option --<flag>` error.
 void expect_rejected(const std::string& args, const std::string& flag) {
@@ -376,6 +376,20 @@ TEST(ServerCli, AdaptiveRejectsScenario) {
 TEST(ServerCli, AdaptiveRejectsScenarioIntensity) {
   expect_rejected("adaptive --requests 100 --scenario-intensity 3",
                   "scenario-intensity");
+}
+
+// `model` is analytic over the catalog and population and records no trace.
+
+TEST(ServerCli, ModelRejectsScenario) {
+  expect_rejected("model --scenario flashcrowd", "scenario");
+}
+
+TEST(ServerCli, ModelRejectsScenarioIntensity) {
+  expect_rejected("model --scenario-intensity 3", "scenario-intensity");
+}
+
+TEST(ServerCli, ModelRejectsRequests) {
+  expect_rejected("model --requests 7", "requests");
 }
 
 }  // namespace
