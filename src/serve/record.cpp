@@ -143,9 +143,8 @@ using obs::render_number;
 
 [[nodiscard]] ServeConfig parse_header(std::string_view line) {
   const std::string schema = string_field(line, "schema", 1);
-  if (schema != kServeTraceSchema && schema != kServeJournalSchema) {
+  if (schema != kServeJournalSchema) {
     throw std::runtime_error("serve trace: expected schema \"" +
-                             std::string(kServeTraceSchema) + "\" or \"" +
                              std::string(kServeJournalSchema) + "\", got \"" +
                              schema + "\"");
   }
@@ -300,7 +299,6 @@ using obs::render_number;
 [[nodiscard]] ConservationLedger ledger_from_footer(std::string_view line,
                                                     std::size_t lineno) {
   ConservationLedger ledger;
-  if (!has_key(line, "ledger")) return ledger;  // sv1 footers carry none
   ledger.injected = count_field(line, "injected", lineno);
   ledger.delivered = count_field(line, "delivered", lineno);
   ledger.timed_out = count_field(line, "timed_out", lineno);
@@ -374,32 +372,6 @@ void sort_requests(RecordedRun& run) {
   if (!std::is_sorted(run.requests.begin(), run.requests.end(), by_arrival)) {
     std::sort(run.requests.begin(), run.requests.end(), by_arrival);
   }
-}
-
-[[nodiscard]] RecordedRun load_trace_v1(std::istream& in, std::string line) {
-  RecordedRun run;
-  run.config = config_from_header(line);
-  bool saw_footer = false;
-  std::uint64_t decisions = 0;
-  std::size_t lineno = 1;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (saw_footer) {
-      throw std::runtime_error("serve trace line " + std::to_string(lineno) +
-                               ": content after the footer");
-    }
-    if (apply_payload(run, decisions, line, lineno) == PayloadKind::kFooter) {
-      saw_footer = true;
-    }
-  }
-  if (!saw_footer) {
-    throw std::runtime_error(
-        "serve trace: missing footer record — truncated recording");
-  }
-  sort_requests(run);
-  run.decisions = decisions;
-  return run;
 }
 
 }  // namespace
@@ -522,12 +494,9 @@ RecordedRun load_trace(std::istream& in) {
     throw std::runtime_error("serve trace: empty input (no header record)");
   }
   if (first == '{') {
-    // Legacy sv1: plain JSONL, header on the first line.
-    std::string line;
-    if (!std::getline(in, line)) {
-      throw std::runtime_error("serve trace: empty input (no header record)");
-    }
-    return load_trace_v1(in, std::move(line));
+    throw std::runtime_error(
+        "serve trace: sv1 JSONL traces are no longer read; record the run "
+        "again as an sv2 journal");
   }
   JournalReader reader(in);
   const std::optional<std::string_view> header = reader.next();

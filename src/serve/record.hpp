@@ -13,14 +13,10 @@
 
 namespace pushpull::serve {
 
-/// Schema tags of the serve trace formats.
+/// Schema tag of the serve trace format, the only one written or read.
 ///
-/// `sv1` (legacy, read-only): plain JSONL — a header line, request lines,
-/// decision lines, a count footer. Still loadable so pre-journal
-/// recordings replay unchanged.
-///
-/// `sv2` (written): the same payloads as length-prefixed framed records
-/// (see journal.hpp) forming a crash-consistent write-ahead journal:
+/// `sv2`: length-prefixed framed records (see journal.hpp) forming a
+/// crash-consistent write-ahead journal:
 ///   1. a header record carrying the full ServeConfig including the live
 ///      failure model (deadlines, fault channel, retry policy, ladder,
 ///      hedge/drain knobs) — everything replay and resume need;
@@ -33,8 +29,9 @@ namespace pushpull::serve {
 ///   4. a sealing `{"requests":N,"decisions":M,...ledger}` footer carrying
 ///      the conservation ledger.
 /// All numbers are rendered with obs::render_number, so recording the same
-/// accelerated run twice produces byte-identical files.
-inline constexpr std::string_view kServeTraceSchema = "sv1";
+/// accelerated run twice produces byte-identical files. The plain-JSONL
+/// `sv1` format of older builds is no longer read: load_trace rejects a
+/// file that starts with `{`.
 inline constexpr std::string_view kServeJournalSchema = "sv2";
 
 /// Writes an sv2 journal. Single-writer by design: only the server thread
@@ -99,7 +96,7 @@ struct RecordedRun {
   ServeConfig config;
   std::vector<workload::Request> requests;
   std::uint64_t decisions = 0;
-  /// The sealed footer's conservation ledger (zero for sv1 files).
+  /// The sealed footer's conservation ledger.
   ConservationLedger ledger;
 
   [[nodiscard]] workload::Trace trace() const {
@@ -107,11 +104,10 @@ struct RecordedRun {
   }
 };
 
-/// Parses a complete serve trace (sv1 plain JSONL or sv2 framed journal —
-/// auto-detected). Throws std::runtime_error naming the record on any
-/// malformed input: wrong schema, unparsable fields, a missing footer,
-/// truncated framing, or a footer count that disagrees with the records
-/// actually present.
+/// Parses a complete sv2 journal. Throws std::runtime_error naming the
+/// record on any malformed input: an sv1 file or any schema but sv2,
+/// unparsable fields, a missing footer, truncated framing, or a footer
+/// count that disagrees with the records actually present.
 [[nodiscard]] RecordedRun load_trace(std::istream& in);
 
 /// load_trace from a file path (std::runtime_error when unreadable).

@@ -13,7 +13,7 @@
 ///   load_driver.hpp      seeded open-loop load, planned upfront
 ///   journal.hpp          sv2 framed journal: conservation ledger, length
 ///                        prefixes, the bounded framing reader, fsync sink
-///   record.hpp           sv1/sv2 trace codec + crash recovery
+///   record.hpp           sv2 journal codec + crash recovery
 ///   live_server.hpp      the driver: runs core::HybridServer accelerated
 ///                        or on the wall clock, journals, reports
 ///   replay.hpp           recorded trace → the same engine, bit-exact

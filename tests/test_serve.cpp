@@ -429,6 +429,35 @@ TEST(TraceLoader, RejectsWrongSchema) {
   EXPECT_THROW((void)load_trace(in), std::runtime_error);
 }
 
+/// The runtime_error message load_trace throws on `bytes`.
+std::string load_error(const std::string& bytes) {
+  std::istringstream in(bytes);
+  try {
+    (void)load_trace(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "load_trace accepted the input";
+  return "";
+}
+
+TEST(TraceLoader, RejectsLegacySv1Jsonl) {
+  const std::string what = load_error(
+      "{\"schema\":\"sv1\",\"seed\":1,\"accelerated\":1}\n"
+      "{\"requests\":0,\"decisions\":0}\n");
+  EXPECT_NE(what.find("sv1 JSONL traces are no longer read"),
+            std::string::npos)
+      << what;
+}
+
+TEST(TraceLoader, RejectsSv1SchemaInAFramedHeader) {
+  const std::string what =
+      load_error(frame_record("{\"schema\":\"sv1\",\"seed\":1}"));
+  EXPECT_NE(what.find("expected schema \"sv2\", got \"sv1\""),
+            std::string::npos)
+      << what;
+}
+
 /// Every payload of a framed journal, in order; fails the test on bad
 /// framing.
 std::vector<std::string> journal_payloads(const std::string& journal) {
