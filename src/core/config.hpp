@@ -102,6 +102,14 @@ struct HybridConfig {
   /// simulated but excluded from statistics.
   double warmup_fraction = 0.0;
 
+  /// Feeds the per-class P² tail sketches (ClassStats::wait_p50/p95/p99
+  /// and gap_p99) on every measured delivery. Off, those sketches read
+  /// count 0 and every other output is bit-identical. exp::replicate_hybrid
+  /// and exp::run_chaos turn it off in each replication: they pool means,
+  /// counters and Welfords, and P² sketches cannot merge, so nothing reads
+  /// them. Left out of replication fingerprints for that reason.
+  bool tail_quantiles = true;
+
   /// Observability layer (tracing, counters, histograms). Default-off and
   /// bit-invisible: observation is write-only from the simulation's
   /// perspective, so enabling it never changes a single output number —

@@ -1027,8 +1027,8 @@ void HybridServer::begin(std::span<const workload::Request> plan,
     cutoff_history_.emplace_back(0.0, config_.cutoff);
   }
   for (auto& waiters : push_waiters_) waiters.clear();
-  collector_ =
-      std::make_unique<metrics::ClassCollector>(population_->num_classes());
+  collector_ = std::make_unique<metrics::ClassCollector>(
+      population_->num_classes(), config_.tail_quantiles);
   listener_ = listener;
   to_settle_ = expected;
   settled_ = 0;

@@ -69,6 +69,9 @@ ChaosPartial run_one(const Scenario& scenario,
   s.seed = rng::SplitMix64::mix(scenario.seed + rep);
   core::HybridConfig c = config;
   c.seed = rng::SplitMix64::mix(s.seed ^ 0x5EEDCAFEULL);
+  // The summary pools through merge_counters and the digest, and the
+  // invariants read the gap Welford: no P² sketch is read, so skip them.
+  c.tail_quantiles = false;
 
   Scenario::Built built = s.build();
   if (!metrics::exactly_equal(options.spike_factor, 1.0) &&

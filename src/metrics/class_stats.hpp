@@ -18,6 +18,13 @@ using ClassId = std::uint32_t;
 /// Tail quantiles are streamed with P² estimators; note that quantiles are
 /// per-class only — aggregate() pools counters and moments but cannot merge
 /// quantile sketches, so the aggregate's quantiles stay empty.
+///
+/// The four sketches (wait_p50/p95/p99, gap_p99) are fed only by a
+/// ClassCollector built with tail_quantiles on, the default. The
+/// replication harnesses (exp::replicate_hybrid, exp::run_chaos) turn it
+/// off: they pool means, counters and Welfords, and P² sketches cannot
+/// merge, so nothing would read them. A sketch from such a run reads
+/// count 0; every counter and both Welfords are the same either way.
 struct ClassStats {
   Welford wait;                 // completed requests: arrival → delivery
   P2Quantile wait_p50{0.50};
@@ -118,8 +125,12 @@ struct ClassStats {
 /// Per-class collector indexed by ClassId, plus an aggregate view.
 class ClassCollector {
  public:
-  explicit ClassCollector(std::size_t num_classes)
-      : stats_(num_classes), last_service_(num_classes, -1.0) {}
+  /// With `tail_quantiles` off, record_served skips the four P² sketches
+  /// (they stay at count 0) and feeds everything else as usual.
+  explicit ClassCollector(std::size_t num_classes, bool tail_quantiles = true)
+      : stats_(num_classes),
+        last_service_(num_classes, -1.0),
+        tail_quantiles_(tail_quantiles) {}
 
   [[nodiscard]] std::size_t num_classes() const noexcept {
     return stats_.size();
@@ -146,14 +157,16 @@ class ClassCollector {
     ++s.served;
     (via_push ? s.served_push : s.served_pull) += 1;
     s.wait.add(wait_time);
-    s.wait_p50.add(wait_time);
-    s.wait_p95.add(wait_time);
-    s.wait_p99.add(wait_time);
+    if (tail_quantiles_) {
+      s.wait_p50.add(wait_time);
+      s.wait_p95.add(wait_time);
+      s.wait_p99.add(wait_time);
+    }
     if (now >= 0.0) {
       if (last_service_[cls] >= 0.0) {
         const double gap = now - last_service_[cls];
         s.gap.add(gap);
-        s.gap_p99.add(gap);
+        if (tail_quantiles_) s.gap_p99.add(gap);
       }
       last_service_[cls] = now;
     }
@@ -196,6 +209,7 @@ class ClassCollector {
   std::vector<ClassStats> stats_;
   /// Timestamp of the last recorded delivery per class (-1 = none yet).
   std::vector<double> last_service_;
+  bool tail_quantiles_;
 };
 
 }  // namespace pushpull::metrics

@@ -10,10 +10,12 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "catalog/catalog.hpp"
 #include "catalog/length_model.hpp"
 #include "core/hybrid_server.hpp"
+#include "exp/chaos.hpp"
 #include "exp/scenario.hpp"
 
 namespace pushpull::core {
@@ -418,6 +420,94 @@ TEST(HybridServer, DrainStopsAdmissionAndBroadcastsAndFlushesThePullSide) {
   // Nothing was lost: the pull side settled, parked push waiters did not.
   EXPECT_GT(r.unsettled, 0u);
   EXPECT_EQ(all.served + r.unsettled, all.arrived);
+}
+
+// HybridConfig::tail_quantiles: off, the four P² sketches read count 0 and
+// every other output stays bit-identical, on every layout, controller and
+// arrival source.
+struct SketchCase {
+  const char* name;
+  exp::Scenario scenario;
+  HybridConfig config;
+  bool closed_loop = false;
+};
+
+std::vector<SketchCase> sketch_cases() {
+  std::vector<SketchCase> cases;
+  exp::Scenario paper;  // §5.1
+  paper.num_requests = 20000;
+  HybridConfig base;
+  base.cutoff = 40;
+  cases.push_back({"paper-5.1", paper, base});
+
+  exp::Scenario flash = paper;
+  flash.preset = scenario::Preset::kFlashcrowd;
+  HybridConfig chaos;
+  chaos.cutoff = 30;
+  chaos.mean_patience = 100.0;
+  chaos.fault.enabled = true;
+  chaos.fault.channel = fault::ChannelConfig{0.05, 0.30, 0.0, 0.5};
+  chaos.fault.retry.max_retries = 3;
+  chaos.fault.queue_capacity = 200;
+  chaos.fault.shed_policy = fault::ShedPolicy::kDropLowestPriority;
+  chaos.resilience.crash.enabled = true;
+  chaos.resilience.crash.rate = 0.001;
+  chaos.resilience.crash.recovery = resilience::RecoveryMode::kWarm;
+  chaos.resilience.overload.enabled = true;
+  cases.push_back({"chaos-mix", flash, chaos});
+
+  HybridConfig loop = base;
+  loop.cutoff = 15;
+  cases.push_back({"closed-loop", paper, loop, /*closed_loop=*/true});
+
+  HybridConfig channels = base;
+  channels.pull_channels = 2;
+  cases.push_back({"pull-channels-2", paper, channels});
+
+  HybridConfig reopt = base;
+  reopt.reoptimize_interval = 300.0;
+  cases.push_back({"reoptimize", paper, reopt});
+  return cases;
+}
+
+SimResult run_sketch_case(const SketchCase& c, bool tail_quantiles) {
+  const auto built = c.scenario.build();
+  HybridConfig config = c.config;
+  config.tail_quantiles = tail_quantiles;
+  HybridServer server(built.catalog, built.population, config);
+  if (c.closed_loop) {
+    ClosedLoop loop;
+    loop.clients = 40;
+    loop.horizon = 4000.0;
+    return server.run(loop);
+  }
+  return server.run(built.trace);
+}
+
+TEST(HybridServer, TailQuantilesOffChangesOnlyTheSketches) {
+  for (const SketchCase& c : sketch_cases()) {
+    const SimResult on = run_sketch_case(c, true);
+    const SimResult off = run_sketch_case(c, false);
+    EXPECT_EQ(exp::serialize_result(on), exp::serialize_result(off))
+        << c.name;
+    ASSERT_EQ(on.per_class.size(), off.per_class.size()) << c.name;
+    std::uint64_t served = 0;
+    for (std::size_t cls = 0; cls < on.per_class.size(); ++cls) {
+      const metrics::ClassStats& a = on.per_class[cls];
+      const metrics::ClassStats& b = off.per_class[cls];
+      served += a.served;
+      for (const metrics::P2Quantile* sketch :
+           {&a.wait_p50, &a.wait_p95, &a.wait_p99}) {
+        EXPECT_EQ(sketch->count(), a.served) << c.name << " class " << cls;
+      }
+      EXPECT_EQ(a.gap_p99.count(), a.gap.count()) << c.name << " class " << cls;
+      for (const metrics::P2Quantile* sketch :
+           {&b.wait_p50, &b.wait_p95, &b.wait_p99, &b.gap_p99}) {
+        EXPECT_EQ(sketch->count(), 0u) << c.name << " class " << cls;
+      }
+    }
+    EXPECT_GT(served, 0u) << c.name;
+  }
 }
 
 #if defined(PUSHPULL_CLI_PATH)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "metrics/class_stats.hpp"
 #include "metrics/histogram.hpp"
@@ -198,6 +199,65 @@ TEST(ClassCollector, AggregatePoolsClasses) {
   EXPECT_EQ(total.arrived, 2u);
   EXPECT_EQ(total.served, 2u);
   EXPECT_DOUBLE_EQ(total.wait.mean(), 3.0);
+}
+
+void expect_same_welford(const Welford& a, const Welford& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.m2(), b.m2());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+}
+
+TEST(ClassCollector, TailQuantilesOffSkipsOnlyTheSketches) {
+  ClassCollector with(3);
+  ClassCollector without(3, /*tail_quantiles=*/false);
+  // Every record_* call, on every class, with and without timestamps.
+  double now = 0.0;
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    const ClassId cls = i % 3;
+    const double wait = static_cast<double>((i * 37) % 101) / 7.0;
+    now += static_cast<double>((i * 13) % 17) / 5.0;
+    const double stamp = i % 11 == 0 ? -1.0 : now;
+    for (ClassCollector* c : {&with, &without}) {
+      c->record_arrival(cls);
+      switch (i % 9) {
+        case 0: c->record_blocked(cls); break;
+        case 1: c->record_abandoned(cls); break;
+        case 2: c->record_corrupted(cls); c->record_retry(cls); break;
+        case 3: c->record_shed(cls); break;
+        case 4: c->record_lost(cls); break;
+        case 5: c->record_rejected(cls); c->record_stormed(cls); break;
+        default: c->record_served(cls, wait, i % 2 == 0, stamp); break;
+      }
+    }
+  }
+  for (ClassId cls = 0; cls < 3; ++cls) {
+    const ClassStats& a = with.at(cls);
+    const ClassStats& b = without.at(cls);
+    for (const auto field :
+         {&ClassStats::arrived, &ClassStats::served, &ClassStats::served_push,
+          &ClassStats::served_pull, &ClassStats::blocked,
+          &ClassStats::abandoned, &ClassStats::corrupted,
+          &ClassStats::retries, &ClassStats::shed, &ClassStats::lost,
+          &ClassStats::rejected, &ClassStats::stormed}) {
+      EXPECT_EQ(a.*field, b.*field) << "class " << cls;
+    }
+    expect_same_welford(a.wait, b.wait);
+    expect_same_welford(a.gap, b.gap);
+    ASSERT_GT(a.served, 0u);
+    ASSERT_GT(a.gap.count(), 0u);
+    for (const P2Quantile* sketch :
+         {&a.wait_p50, &a.wait_p95, &a.wait_p99}) {
+      EXPECT_EQ(sketch->count(), a.served);
+    }
+    EXPECT_EQ(a.gap_p99.count(), a.gap.count());
+    for (const P2Quantile* sketch :
+         {&b.wait_p50, &b.wait_p95, &b.wait_p99, &b.gap_p99}) {
+      EXPECT_EQ(sketch->count(), 0u);
+    }
+  }
 }
 
 TEST(ClassStats, BlockingRatio) {
