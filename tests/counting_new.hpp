@@ -16,7 +16,7 @@ inline std::atomic<std::size_t> g_news{0};
 inline std::atomic<std::size_t> g_deletes{0};
 inline std::atomic<std::size_t> g_largest{0};
 
-inline void* counted_new(std::size_t size) {
+inline void* counted_malloc(std::size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_news.fetch_add(1, std::memory_order_relaxed);
     std::size_t largest = g_largest.load(std::memory_order_relaxed);
@@ -25,7 +25,11 @@ inline void* counted_new(std::size_t size) {
                                             std::memory_order_relaxed)) {
     }
   }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+inline void* counted_new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
 
@@ -62,6 +66,14 @@ void* operator new(std::size_t size) {
 void* operator new[](std::size_t size) {
   return pushpull::alloc_count::counted_new(size);
 }
+// The nothrow forms too (std::stable_sort's temporary buffer uses them), so
+// every block the replaced deletes free came from the same malloc.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return pushpull::alloc_count::counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return pushpull::alloc_count::counted_malloc(size);
+}
 void operator delete(void* p) noexcept { pushpull::alloc_count::counted_delete(p); }
 void operator delete[](void* p) noexcept {
   pushpull::alloc_count::counted_delete(p);
@@ -70,5 +82,11 @@ void operator delete(void* p, std::size_t) noexcept {
   pushpull::alloc_count::counted_delete(p);
 }
 void operator delete[](void* p, std::size_t) noexcept {
+  pushpull::alloc_count::counted_delete(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  pushpull::alloc_count::counted_delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
   pushpull::alloc_count::counted_delete(p);
 }
