@@ -339,8 +339,12 @@ TEST(ServerGoldens, ClosedloopCliIsByteIdentical) {
 // --- flags the closed loop, the drift run and the model would ignore -----
 
 /// The command exits 1 with the parser's `unknown option --<flag>` error.
+/// The capture file is named after the subcommand and the flag, so tests
+/// that ctest runs in parallel never share one.
 void expect_rejected(const std::string& args, const std::string& flag) {
-  const std::string out = "server_goldens_rejected_" + flag + ".txt";
+  const std::string out = "server_goldens_rejected_" +
+                          args.substr(0, args.find(' ')) + "_" + flag +
+                          ".txt";
   const std::string cmd =
       std::string(PUSHPULL_CLI_PATH) + " " + args + " > " + out + " 2>&1";
   const int status = std::system(cmd.c_str());
