@@ -36,6 +36,12 @@ std::uint64_t parse_unsigned(const std::string& key,
   return parsed;
 }
 
+/// The one diagnostic for options a command does not take.
+[[noreturn]] void throw_unknown(const std::string& options) {
+  throw std::invalid_argument("unknown option " + options +
+                              " (run with no arguments for usage)");
+}
+
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
@@ -55,9 +61,9 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
       // A following token that is not itself an option is this key's value;
       // otherwise the key is a boolean flag.
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        options_[key] = argv[++i];
+        options_[key].value = argv[++i];
       } else {
-        options_[key] = "";
+        options_[key].value = "";
       }
     } else {
       positional_.push_back(arg);
@@ -65,81 +71,107 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
   }
 }
 
+const std::string* ArgParser::read(const std::string& key) const {
+  const auto it = options_.find(key);
+  if (it == options_.end()) return nullptr;
+  it->second.read = true;
+  return &it->second.value;
+}
+
+std::string ArgParser::get_positional(std::size_t index,
+                                      const std::string& fallback) const {
+  positionals_read_ = std::max(positionals_read_, index + 1);
+  return index < positional_.size() ? positional_[index] : fallback;
+}
+
+bool ArgParser::get_flag(const std::string& key) const {
+  const std::string* value = read(key);
+  if (value != nullptr && !value->empty()) {
+    throw std::invalid_argument("ArgParser: --" + key +
+                                " is a switch and takes no value, got '" +
+                                *value + "'");
+  }
+  return value != nullptr;
+}
+
 std::string ArgParser::get_string(const std::string& key,
                                   const std::string& fallback) const {
-  const auto it = options_.find(key);
-  return it == options_.end() ? fallback : it->second;
+  const std::string* value = read(key);
+  return value == nullptr ? fallback : *value;
 }
 
 double ArgParser::get_double(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
+  const std::string* value = read(key);
+  if (value == nullptr) return fallback;
   std::size_t pos = 0;
   double parsed = 0.0;
   try {
-    parsed = std::stod(it->second, &pos);
+    parsed = std::stod(*value, &pos);
   } catch (const std::exception&) {
     pos = std::string::npos;  // unify the two failure paths below
   }
-  if (pos != it->second.size()) {
+  if (pos != value->size()) {
     throw std::invalid_argument("ArgParser: --" + key +
-                                " expects a number, got '" + it->second + "'");
+                                " expects a number, got '" + *value + "'");
   }
   return parsed;
 }
 
 std::size_t ArgParser::get_size(const std::string& key,
                                 std::size_t fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  return static_cast<std::size_t>(parse_unsigned(key, it->second));
+  const std::string* value = read(key);
+  if (value == nullptr) return fallback;
+  return static_cast<std::size_t>(parse_unsigned(key, *value));
 }
 
 std::uint64_t ArgParser::get_u64(const std::string& key,
                                  std::uint64_t fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  return parse_unsigned(key, it->second);
+  const std::string* value = read(key);
+  if (value == nullptr) return fallback;
+  return parse_unsigned(key, *value);
 }
 
 double ArgParser::get_positive_double(const std::string& key,
                                       double fallback) const {
-  if (!options_.contains(key)) return fallback;
+  const std::string* value = read(key);
+  if (value == nullptr) return fallback;
   const double parsed = get_double(key, fallback);
   if (!(parsed > 0.0) || !std::isfinite(parsed)) {
     throw std::invalid_argument("ArgParser: --" + key +
                                 " expects a positive finite number, got '" +
-                                options_.at(key) + "'");
+                                *value + "'");
   }
   return parsed;
 }
 
 double ArgParser::get_nonnegative_double(const std::string& key,
                                          double fallback) const {
-  if (!options_.contains(key)) return fallback;
+  const std::string* value = read(key);
+  if (value == nullptr) return fallback;
   const double parsed = get_double(key, fallback);
   if (!(parsed >= 0.0) || !std::isfinite(parsed)) {
     throw std::invalid_argument("ArgParser: --" + key +
                                 " expects a non-negative finite number, got '" +
-                                options_.at(key) + "'");
+                                *value + "'");
   }
   return parsed;
 }
 
 std::uint64_t ArgParser::get_positive_u64(const std::string& key,
                                           std::uint64_t fallback) const {
-  if (!options_.contains(key)) return fallback;
-  const std::uint64_t parsed = parse_unsigned(key, options_.at(key));
+  const std::string* value = read(key);
+  if (value == nullptr) return fallback;
+  const std::uint64_t parsed = parse_unsigned(key, *value);
   if (parsed == 0) {
     throw std::invalid_argument("ArgParser: --" + key +
                                 " expects a positive integer, got '" +
-                                options_.at(key) + "'");
+                                *value + "'");
   }
   return parsed;
 }
 
 std::size_t ArgParser::get_jobs(const std::string& key) const {
-  if (options_.contains(key)) {
+  if (has(key)) {
     const std::size_t jobs = get_size(key, 0);
     if (jobs == 0) {
       throw std::invalid_argument(
@@ -159,15 +191,25 @@ void ArgParser::require_known(
   // the offending option(s), and which one leads must not depend on hash
   // order (detlint D3).
   std::string unknown;
-  for (const auto& [key, value] : metrics::sorted_view(options_)) {
+  for (const auto& [key, option] : metrics::sorted_view(options_)) {
     if (std::find(allowed.begin(), allowed.end(), key) == allowed.end() &&
         std::find(extra.begin(), extra.end(), key) == extra.end()) {
       unknown += (unknown.empty() ? "" : ", ") + ("--" + key);
     }
   }
-  if (!unknown.empty()) {
-    throw std::invalid_argument("unknown option " + unknown +
-                                " (run with no arguments for usage)");
+  if (!unknown.empty()) throw_unknown(unknown);
+}
+
+void ArgParser::reject_unread() const {
+  std::string unread;
+  for (const auto& [key, option] : metrics::sorted_view(options_)) {
+    if (!option.read) unread += (unread.empty() ? "" : ", ") + ("--" + key);
+  }
+  if (!unread.empty()) throw_unknown(unread);
+  if (positionals_read_ < positional_.size()) {
+    throw std::invalid_argument("unexpected argument '" +
+                                positional_[positionals_read_] +
+                                "' (run with no arguments for usage)");
   }
 }
 

@@ -159,6 +159,73 @@ TEST(ArgParser, RequireKnownRejectsUnknownOption) {
   }
 }
 
+TEST(ArgParser, EveryAccessorMarksItsKeyRead) {
+  const auto args = parse(
+      {"replay", "in.svj", "--s", "x", "--d", "1.5", "--z", "2", "--u", "3",
+       "--pd", "4", "--nd", "0", "--pu", "5", "--jobs", "2", "--csv"});
+  (void)args.get_positional(1, "");
+  (void)args.get_string("s", "");
+  (void)args.get_double("d", 0.0);
+  (void)args.get_size("z", 0);
+  (void)args.get_u64("u", 0);
+  (void)args.get_positive_double("pd", 1.0);
+  (void)args.get_nonnegative_double("nd", 1.0);
+  (void)args.get_positive_u64("pu", 1);
+  (void)args.get_jobs("jobs");
+  EXPECT_TRUE(args.get_flag("csv"));
+  EXPECT_NO_THROW(args.reject_unread());
+}
+
+TEST(ArgParser, ReadingAnAbsentKeyIsFine) {
+  const auto args = parse({"simulate"});
+  EXPECT_EQ(args.get_positional(0, ""), "simulate");
+  EXPECT_EQ(args.get_positional(1, "none"), "none");
+  EXPECT_DOUBLE_EQ(args.get_double("theta", 0.6), 0.6);
+  EXPECT_FALSE(args.get_flag("csv"));
+  EXPECT_NO_THROW(args.reject_unread());
+}
+
+TEST(ArgParser, RejectUnreadNamesEveryUnreadOptionInKeyOrder) {
+  const auto args = parse(
+      {"simulate", "--zeta", "1", "--alpha", "2", "--mid", "--read", "3"});
+  (void)args.get_positional(0, "");
+  (void)args.get_size("read", 0);
+  EXPECT_TRUE(args.has("zeta"));  // a query, not a read
+  try {
+    args.reject_unread();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown option --alpha, --mid, --zeta (run with no "
+                 "arguments for usage)");
+  }
+}
+
+TEST(ArgParser, FlagWithAValueThrowsNamingFlagAndValue) {
+  const auto args = parse({"simulate", "--fault", "0"});
+  try {
+    (void)args.get_flag("fault");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--fault"), std::string::npos) << what;
+    EXPECT_NE(what.find("'0'"), std::string::npos) << what;
+  }
+}
+
+TEST(ArgParser, RejectUnreadThrowsOnAnUnreadPositional) {
+  const auto args = parse({"replay", "a.svj", "b.svj"});
+  EXPECT_EQ(args.get_positional(0, ""), "replay");
+  EXPECT_EQ(args.get_positional(1, ""), "a.svj");
+  try {
+    args.reject_unread();
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'b.svj'"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ArgParser, PositiveDoubleReturnsFallbackWhenAbsent) {
   const auto args = parse({"loadtest"});
   EXPECT_DOUBLE_EQ(args.get_positive_double("duration", 50.0), 50.0);
