@@ -486,9 +486,10 @@ TEST(CliScenario, ServeChaosScenarioShapesJournaledPlan) {
 TEST(CliScenario, ChaosRejectsNegativeSpikeFlags) {
   const std::string quiet = " > /dev/null 2>&1";
   for (const std::string bad :
-       {" chaos --reps 1 --requests 500 --spike-factor -1",
-        " chaos --reps 1 --requests 500 --spike-start -5",
-        " chaos --reps 1 --requests 500 --spike-duration nan",
+       {" chaos --reps 1 --requests 500 --spike-factor -1 --spike-duration 5",
+        " chaos --reps 1 --requests 500 --spike-start -5 --spike-factor 2 "
+        "--spike-duration 5",
+        " chaos --reps 1 --requests 500 --spike-duration nan --spike-factor 2",
         " chaos --reps 1 --requests 500 --gap-bound -2",
         " simulate --requests 500 --scenario rush-hour"}) {
     const std::string cmd = std::string(PUSHPULL_CLI_PATH) + bad + quiet;

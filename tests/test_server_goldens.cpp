@@ -338,21 +338,27 @@ TEST(ServerGoldens, ClosedloopCliIsByteIdentical) {
 
 // --- flags the closed loop, the drift run and the model would ignore -----
 
-/// The command exits 1 with the parser's `unknown option --<flag>` error.
-/// The capture file is named after the subcommand and the flag, so tests
-/// that ctest runs in parallel never share one.
-void expect_rejected(const std::string& args, const std::string& flag) {
-  const std::string out = "server_goldens_rejected_" +
-                          args.substr(0, args.find(' ')) + "_" + flag +
-                          ".txt";
+/// The command exits 1 and prints `needle`. The capture file is named
+/// after the whole command, so tests that ctest runs in parallel never
+/// share one.
+void expect_error(const std::string& args, const std::string& needle) {
+  std::string out = "server_goldens_rejected_" + args + ".txt";
+  for (char& c : out) {
+    if (c == ' ' || c == '/') c = '_';
+  }
   const std::string cmd =
       std::string(PUSHPULL_CLI_PATH) + " " + args + " > " + out + " 2>&1";
   const int status = std::system(cmd.c_str());
   ASSERT_TRUE(WIFEXITED(status)) << cmd;
   EXPECT_EQ(WEXITSTATUS(status), 1) << cmd;
-  EXPECT_NE(slurp(out).find("unknown option --" + flag), std::string::npos)
+  EXPECT_NE(slurp(out).find(needle), std::string::npos)
       << cmd << "\n" << slurp(out);
   std::remove(out.c_str());
+}
+
+/// The command exits 1 with the parser's `unknown option --<flag>` error.
+void expect_rejected(const std::string& args, const std::string& flag) {
+  expect_error(args, "unknown option --" + flag + " (");
 }
 
 TEST(ServerCli, ClosedloopRejectsScenario) {
@@ -394,6 +400,110 @@ TEST(ServerCli, ModelRejectsScenarioIntensity) {
 
 TEST(ServerCli, ModelRejectsRequests) {
   expect_rejected("model --requests 7", "requests");
+}
+
+// Each command reads only the flags that reach its run; these were all
+// accepted and changed nothing.
+
+TEST(ServerCli, SimulateRejectsFlagsItWouldIgnore) {
+  for (const std::string flag :
+       {"fault-p-gb 0.9", "fault-retries 9", "shed priority",
+        "ladder-capacity 2", "crash-downtime 5", "recovery warm", "jobs 3",
+        "trace-cap 5", "trace-categories push", "scenario-intensity 2"}) {
+    expect_rejected("simulate --requests 3000 --" + flag,
+                    flag.substr(0, flag.find(' ')));
+  }
+  expect_rejected(
+      "simulate --requests 3000 --crash-rate 0.01 --recovery cold "
+      "--snapshot-interval 7",
+      "snapshot-interval");
+}
+
+TEST(ServerCli, RejectsAValueOnASwitchAndAStrayArgument) {
+  expect_error("simulate --requests 3000 --ladder yes",
+               "--ladder is a switch and takes no value, got 'yes'");
+  expect_error("simulate --fault 0",
+               "--fault is a switch and takes no value, got '0'");
+  expect_error("simulate --requests 3000 extra", "unexpected argument 'extra'");
+  expect_error("replay rec.svj other.svj", "unexpected argument 'other.svj'");
+}
+
+TEST(ServerCli, OptimizeAndReplicateRejectFlagsTheyWouldIgnore) {
+  expect_rejected("optimize --analytic --scenario flashcrowd", "scenario");
+  expect_rejected("optimize --analytic --requests 7", "requests");
+  expect_rejected("optimize --requests 2000 --jobs 3", "jobs");
+  expect_rejected("optimize --requests 2000 --trace-cap 5", "trace-cap");
+  expect_rejected("replicate --requests 2000 --reps 2 --trace-cap 5",
+                  "trace-cap");
+}
+
+TEST(ServerCli, JobsIsReadOnlyWhereWorkFansOut) {
+  for (const std::string command :
+       {"model", "multichannel --requests 2000", "uplink --requests 2000",
+        "adaptive --requests 2000", "closedloop --horizon 100"}) {
+    expect_rejected(command + " --jobs 3", "jobs");
+  }
+}
+
+TEST(ServerCli, ChaosReadsASpikeOnlyAsAWhole) {
+  for (const std::string flag :
+       {"spike-start 100", "spike-duration 100", "spike-factor 3"}) {
+    expect_rejected("chaos --requests 2000 --reps 2 --" + flag,
+                    flag.substr(0, flag.find(' ')));
+  }
+}
+
+TEST(ServerCli, TraceReadsTheServerFlagsOnlyWithTrace) {
+  expect_rejected("trace --out t.csv --requests 2000 --cutoff 5", "cutoff");
+  expect_rejected("trace --out t.csv --requests 2000 --fault", "fault");
+}
+
+TEST(ServerCli, LoadtestRejectsFlagsItWouldIgnore) {
+  for (const std::string flag :
+       {"cutoff 5", "items 50", "seed 9", "target-qps 9", "mean-deadline 3",
+        "fault"}) {
+    expect_rejected("loadtest --accelerated --from-trace rec.svj --" + flag,
+                    flag.substr(0, flag.find(' ')));
+  }
+  for (const std::string flag :
+       {"fault-p-gb 0.9", "deadline-spike-factor 0.2",
+        "deadline-spike-start 3", "sync-every 2"}) {
+    expect_rejected("loadtest --accelerated --duration 20 --" + flag,
+                    flag.substr(0, flag.find(' ')));
+  }
+}
+
+TEST(ServerCli, ServeRejectsFlagsItWouldIgnore) {
+  for (const std::string flag :
+       {"accelerated", "time-scale 5", "pacers 3", "queue-capacity 3",
+        "ladder", "fault-p-gb 0.9", "shed tail", "deadline-spike-start 3"}) {
+    expect_rejected("serve --chaos --reps 1 --duration 20 --" + flag,
+                    flag.substr(0, flag.find(' ')));
+  }
+  expect_rejected("serve --accelerated", "accelerated");
+}
+
+TEST(ServerCli, AdaptiveValidatesItsScenario) {
+  expect_error("adaptive --requests 0", "Scenario: num_requests");
+  expect_error("adaptive --items 0", "Scenario: num_items");
+}
+
+// A rejected flag fails before the run opens any file.
+TEST(ServerCli, RejectionComesBeforeAnyFileIsWritten) {
+  const struct {
+    std::string args;
+    std::string file;
+  } cases[] = {
+      {"replicate --progress nowork_p.jsonl --bogus 1", "nowork_p.jsonl"},
+      {"simulate --report nowork_r.md --bogus 1", "nowork_r.md"},
+      {"loadtest --accelerated --record nowork_x.svj --bogus 1",
+       "nowork_x.svj"},
+  };
+  for (const auto& c : cases) {
+    std::remove(c.file.c_str());
+    expect_rejected(c.args, "bogus");
+    EXPECT_FALSE(std::ifstream(c.file).good()) << c.args;
+  }
 }
 
 }  // namespace

@@ -1,19 +1,11 @@
-// pushpull — command-line driver for the hybrid-scheduling library.
+// pushpull — command-line driver for the hybrid-scheduling library. The
+// subcommands and their flags are listed by `pushpull help`.
 //
-//   pushpull simulate  [--theta T] [--alpha A] [--cutoff K] [--requests N]
-//                      [--seed S] [--policy NAME] [--bandwidth B]
-//                      [--demand D] [--patience P] [--csv]
-//   pushpull optimize  [--theta T] [--alpha A] [--step STEP] [--analytic]
-//   pushpull model     [--theta T] [--alpha A] [--cutoff K]
-//   pushpull replicate [--theta T] [--alpha A] [--cutoff K] [--reps R]
-//                      [--jobs N] [--progress FILE] [--resume]
-//   pushpull trace     [--out FILE] [--trace FILE] [--requests N] [--seed S]
-//
-// All commands run the paper's §5.1 scenario (D = 100 items, λ' = 5,
-// lengths 1..5 mean 2, three classes) with the given overrides. Fault
-// injection (`--fault*`, `--queue-cap`, `--shed`) applies wherever the
-// hybrid server runs, and `--trace FILE` records a deterministic sim-time
-// event trace (JSONL) wherever it does; see `pushpull help`.
+// Each command reads its flags into the values it runs with, reading a flag
+// only where its value reaches the run (a sub-flag only under its switch),
+// and then calls ArgParser::reject_unread() before it builds a trace, opens
+// a file or starts a thread. The reads are the allow-list: a flag the run
+// would ignore exits 1 instead of running a different experiment.
 #include <algorithm>
 #include <atomic>
 #include <csignal>
@@ -21,12 +13,10 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -67,17 +57,43 @@ namespace {
 
 using namespace pushpull;
 
-exp::Scenario scenario_from(const exp::ArgParser& args) {
+/// --theta, --items and --seed: the §5.1 catalog and class population.
+exp::Scenario catalog_from(const exp::ArgParser& args) {
   exp::Scenario s;
   s.theta = args.get_double("theta", s.theta);
   s.num_items = args.get_size("items", s.num_items);
+  s.seed = args.get_u64("seed", s.seed);
+  return s;
+}
+
+/// The --scenario preset; --scenario-intensity is read only under one.
+pushpull::scenario::Preset preset_from(const exp::ArgParser& args,
+                                       double& intensity) {
+  const pushpull::scenario::Preset preset =
+      pushpull::scenario::parse_preset(args.get_string("scenario", "none"));
+  if (preset != pushpull::scenario::Preset::kNone) {
+    intensity = args.get_positive_double("scenario-intensity", intensity);
+  }
+  return preset;
+}
+
+/// The recorded request trace over `s`: --rate, --requests and the preset.
+exp::Scenario trace_from(const exp::ArgParser& args, exp::Scenario s) {
   s.arrival_rate = args.get_double("rate", s.arrival_rate);
   s.num_requests = args.get_size("requests", 50000);
-  s.seed = args.get_u64("seed", s.seed);
-  s.jobs = args.get_jobs("jobs");
-  s.preset = pushpull::scenario::parse_preset(
-      args.get_string("scenario", "none"));
-  s.preset_intensity = args.get_positive_double("scenario-intensity", 1.0);
+  s.preset = preset_from(args, s.preset_intensity);
+  return s;
+}
+
+exp::Scenario scenario_from(const exp::ArgParser& args) {
+  return trace_from(args, catalog_from(args));
+}
+
+/// What the analytic model reads: the catalog, the population and --rate.
+/// It records no trace, so --requests and --scenario* are not read.
+exp::Scenario model_scenario_from(const exp::ArgParser& args) {
+  exp::Scenario s = catalog_from(args);
+  s.arrival_rate = args.get_double("rate", s.arrival_rate);
   return s;
 }
 
@@ -93,50 +109,103 @@ sched::PullPolicyKind policy_from(const std::string& name) {
   throw std::invalid_argument("unknown pull policy: " + name);
 }
 
-fault::FaultConfig fault_from(const exp::ArgParser& args) {
+/// Only the importance policies weigh stretch against priority
+/// (γ_i = α·S_i + (1−α)·Q_i), so --alpha is read only under them.
+double alpha_from(const exp::ArgParser& args, sched::PullPolicyKind policy,
+                  double alpha) {
+  const bool weighted = policy == sched::PullPolicyKind::kImportance ||
+                        policy == sched::PullPolicyKind::kImportanceQueueAware;
+  return weighted ? args.get_double("alpha", alpha) : alpha;
+}
+
+/// The fault layer: the channel and retry flags under --fault, and --shed
+/// only with a bounded queue. `chaos`: the serve --chaos profile turns the
+/// channel on with its own parameters unless --fault is given, but keeps
+/// the retry policy, so there the retry flags are read without --fault.
+fault::FaultConfig fault_from(const exp::ArgParser& args, bool chaos = false) {
   fault::FaultConfig f;
-  f.enabled = args.has("fault");
-  f.channel.p_good_to_bad = args.get_double("fault-p-gb", 0.05);
-  f.channel.p_bad_to_good = args.get_double("fault-p-bg", 0.30);
-  f.channel.corrupt_good = args.get_double("fault-corrupt-good", 0.0);
-  f.channel.corrupt_bad = args.get_double("fault-corrupt-bad", 0.5);
-  f.retry.max_retries =
-      static_cast<std::uint32_t>(args.get_size("fault-retries", 3));
-  f.retry.backoff_base = args.get_double("fault-backoff", 1.0);
-  f.retry.backoff_multiplier = args.get_double("fault-backoff-mult", 2.0);
+  // The CLI's channel defaults, which the replication fingerprint and the
+  // sv2 journal header record even while the channel is off.
+  f.channel.p_good_to_bad = 0.05;
+  f.channel.p_bad_to_good = 0.30;
+  f.channel.corrupt_bad = 0.5;
+  f.enabled = args.get_flag("fault");
+  if (f.enabled) {
+    f.channel.p_good_to_bad =
+        args.get_double("fault-p-gb", f.channel.p_good_to_bad);
+    f.channel.p_bad_to_good =
+        args.get_double("fault-p-bg", f.channel.p_bad_to_good);
+    f.channel.corrupt_good =
+        args.get_double("fault-corrupt-good", f.channel.corrupt_good);
+    f.channel.corrupt_bad =
+        args.get_double("fault-corrupt-bad", f.channel.corrupt_bad);
+  }
+  if (f.enabled || chaos) {
+    f.retry.max_retries = static_cast<std::uint32_t>(
+        args.get_size("fault-retries", f.retry.max_retries));
+    f.retry.backoff_base =
+        args.get_double("fault-backoff", f.retry.backoff_base);
+    f.retry.backoff_multiplier =
+        args.get_double("fault-backoff-mult", f.retry.backoff_multiplier);
+  }
   f.queue_capacity = args.get_size("queue-cap", 0);
-  f.shed_policy = fault::parse_shed_policy(args.get_string("shed", "tail"));
+  if (f.queue_capacity > 0) {
+    f.shed_policy = fault::parse_shed_policy(args.get_string("shed", "tail"));
+  }
   f.validate();
   return f;
 }
 
+/// The degradation ladder: --ladder and, under it, --ladder-*. `forced`:
+/// the serve --chaos profile turns the ladder on whatever --ladder says.
+resilience::OverloadConfig ladder_from(const exp::ArgParser& args,
+                                       bool forced = false) {
+  resilience::OverloadConfig o;
+  o.enabled = forced || args.get_flag("ladder");
+  if (o.enabled) {
+    o.eval_interval = args.get_double("ladder-interval", o.eval_interval);
+    o.capacity_ref = args.get_size("ladder-capacity", o.capacity_ref);
+    o.cutoff_step = args.get_size("ladder-cutoff-step", o.cutoff_step);
+  }
+  return o;
+}
+
+/// Crashes and the ladder. The crash flags are read only when --crash-rate
+/// is positive, and --snapshot-interval only with --recovery warm.
 resilience::ResilienceConfig resilience_from(const exp::ArgParser& args) {
   resilience::ResilienceConfig r;
   r.crash.rate = args.get_double("crash-rate", 0.0);
   r.crash.enabled = r.crash.rate > 0.0;
-  r.crash.downtime = args.get_double("crash-downtime", 50.0);
-  r.crash.recovery =
-      resilience::parse_recovery_mode(args.get_string("recovery", "cold"));
-  r.crash.snapshot_interval = args.get_double("snapshot-interval", 100.0);
-  r.crash.rerequest_timeout = args.get_double("rerequest-timeout", 20.0);
-  r.crash.storm_spread = args.get_double("storm-spread", 10.0);
-  r.crash.max_crashes = args.get_size("max-crashes", 64);
-  r.overload.enabled = args.has("ladder");
-  r.overload.eval_interval = args.get_double("ladder-interval", 5.0);
-  r.overload.capacity_ref = args.get_size("ladder-capacity", 64);
-  r.overload.cutoff_step = args.get_size("ladder-cutoff-step", 10);
+  if (r.crash.enabled) {
+    r.crash.downtime = args.get_double("crash-downtime", r.crash.downtime);
+    r.crash.recovery =
+        resilience::parse_recovery_mode(args.get_string("recovery", "cold"));
+    if (r.crash.recovery == resilience::RecoveryMode::kWarm) {
+      r.crash.snapshot_interval =
+          args.get_double("snapshot-interval", r.crash.snapshot_interval);
+    }
+    r.crash.rerequest_timeout =
+        args.get_double("rerequest-timeout", r.crash.rerequest_timeout);
+    r.crash.storm_spread =
+        args.get_double("storm-spread", r.crash.storm_spread);
+    r.crash.max_crashes = args.get_size("max-crashes", r.crash.max_crashes);
+  }
+  r.overload = ladder_from(args);
   r.validate();
   return r;
 }
 
 // Observability is keyed off `--trace FILE`: no flag, no observer, and the
-// simulation output is bit-identical to a build without the obs layer.
+// simulation output is bit-identical to a build without the obs layer. The
+// caller reads the path itself.
 obs::ObsConfig obs_from(const exp::ArgParser& args) {
   obs::ObsConfig o;
   o.enabled = args.has("trace");
-  o.categories =
-      obs::parse_categories(args.get_string("trace-categories", "all"));
-  o.trace_capacity = args.get_size("trace-cap", o.trace_capacity);
+  if (o.enabled) {
+    o.categories =
+        obs::parse_categories(args.get_string("trace-categories", "all"));
+    o.trace_capacity = args.get_size("trace-cap", o.trace_capacity);
+  }
   o.validate();
   return o;
 }
@@ -159,9 +228,9 @@ int write_trace_file(const std::string& path, const obs::ObsReport& report,
 core::HybridConfig config_from(const exp::ArgParser& args) {
   core::HybridConfig config;
   config.cutoff = args.get_size("cutoff", 40);
-  config.alpha = args.get_double("alpha", 0.5);
   config.pull_policy =
       policy_from(args.get_string("policy", "importance"));
+  config.alpha = alpha_from(args, config.pull_policy, config.alpha);
   config.total_bandwidth = args.get_double("bandwidth", 0.0);
   config.mean_bandwidth_demand = args.get_double("demand", 1.0);
   config.mean_patience = args.get_double("patience", 0.0);
@@ -171,25 +240,8 @@ core::HybridConfig config_from(const exp::ArgParser& args) {
   return config;
 }
 
-// Options shared by scenario_from / config_from / print_table; each command
-// passes these plus its own extras to require_known so a typo fails with a
-// one-line diagnostic instead of silently running the default experiment.
-const std::initializer_list<std::string_view> kScenarioOpts = {
-    "theta", "items", "rate", "requests", "seed", "jobs", "csv",
-    "scenario", "scenario-intensity"};
-const std::initializer_list<std::string_view> kConfigOpts = {
-    "theta", "items", "rate", "requests", "seed", "jobs", "csv",
-    "scenario", "scenario-intensity",
-    "cutoff", "alpha", "policy", "bandwidth", "demand", "patience",
-    "fault", "fault-p-gb", "fault-p-bg", "fault-corrupt-good",
-    "fault-corrupt-bad", "fault-retries", "fault-backoff",
-    "fault-backoff-mult", "queue-cap", "shed",
-    "crash-rate", "crash-downtime", "recovery", "snapshot-interval",
-    "rerequest-timeout", "storm-spread", "max-crashes",
-    "ladder", "ladder-interval", "ladder-capacity", "ladder-cutoff-step"};
-
-void print_table(const exp::Table& table, const exp::ArgParser& args) {
-  if (args.has("csv")) {
+void print_table(const exp::Table& table, bool csv) {
+  if (csv) {
     table.print_csv(std::cout);
   } else {
     table.print(std::cout);
@@ -197,16 +249,18 @@ void print_table(const exp::Table& table, const exp::ArgParser& args) {
 }
 
 int cmd_simulate(const exp::ArgParser& args) {
-  args.require_known(kConfigOpts,
-                     {"report", "trace", "trace-categories", "trace-cap"});
   const auto scenario = scenario_from(args);
-  const auto built = scenario.build();
   core::HybridConfig config = config_from(args);
   config.obs = obs_from(args);
+  const std::string trace_path = args.get_string("trace", "");
+  const std::string report_path = args.get_string("report", "");
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
+
+  const auto built = scenario.build();
   const exp::ObservedRun observed = exp::run_hybrid_observed(built, config);
   const core::SimResult& r = observed.result;
 
-  const std::string report_path = args.get_string("report", "");
   if (!report_path.empty()) {
     std::ofstream report(report_path);
     if (!report) {
@@ -271,7 +325,7 @@ int cmd_simulate(const exp::ArgParser& args) {
     }
     row.add(r.prioritized_cost(built.population, c), 2);
   }
-  print_table(table, args);
+  print_table(table, csv);
   std::cout << "overall delay " << r.overall().wait.mean()
             << ", total prioritized cost "
             << r.total_prioritized_cost(built.population) << ", push tx "
@@ -296,7 +350,6 @@ int cmd_simulate(const exp::ArgParser& args) {
               << built.shape.rotated << ")";
   }
   std::cout << "\n";
-  const std::string trace_path = args.get_string("trace", "");
   if (!trace_path.empty()) {
     const int rc = write_trace_file(trace_path, observed.obs, "simulate");
     if (rc != 0) return rc;
@@ -305,27 +358,33 @@ int cmd_simulate(const exp::ArgParser& args) {
 }
 
 int cmd_chaos(const exp::ArgParser& args) {
-  args.require_known(kConfigOpts,
-                     {"reps", "spike-factor", "spike-start", "spike-duration",
-                      "no-replay-check", "progress", "out", "gap-bound"});
   const auto scenario = scenario_from(args);
   const core::HybridConfig config = config_from(args);
 
   exp::ChaosOptions options;
   options.replications = args.get_size("reps", 16);
-  options.jobs = scenario.jobs;
+  options.jobs = args.get_jobs("jobs");
+  // A spike is read only as a whole: it needs its factor and its window.
   // Validated numeric parsing: a spike factor must be positive finite, the
   // window non-negative finite — "-1" or "2x" fails with a one-line
   // diagnostic instead of warping the trace with garbage.
-  options.spike_factor = args.get_positive_double("spike-factor", 1.0);
-  options.spike_start = args.get_nonnegative_double("spike-start", 0.0);
-  options.spike_duration = args.get_nonnegative_double("spike-duration", 0.0);
-  options.verify_replay = !args.has("no-replay-check");
+  if (args.has("spike-factor") && args.has("spike-duration")) {
+    options.spike_factor =
+        args.get_positive_double("spike-factor", options.spike_factor);
+    options.spike_start =
+        args.get_nonnegative_double("spike-start", options.spike_start);
+    options.spike_duration =
+        args.get_nonnegative_double("spike-duration", options.spike_duration);
+  }
+  options.verify_replay = !args.get_flag("no-replay-check");
   options.gap_bound = args.get_nonnegative_double("gap-bound", 0.0);
+  const std::string progress_path = args.get_string("progress", "");
+  const std::string out_path = args.get_string("out", "");
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
 
   std::ofstream progress;
   std::unique_ptr<runtime::RunReporter> reporter;
-  const std::string progress_path = args.get_string("progress", "");
   if (!progress_path.empty()) {
     progress.open(progress_path);
     if (!progress) {
@@ -367,7 +426,7 @@ int cmd_chaos(const exp::ArgParser& args) {
     }
     table.row().add("max service gap").add(worst_gap, 3);
   }
-  print_table(table, args);
+  print_table(table, csv);
 
   const std::size_t failures = summary.invariants.failures();
   std::cout << "invariants: " << summary.invariants.checks.size() - failures
@@ -376,7 +435,7 @@ int cmd_chaos(const exp::ArgParser& args) {
     std::cout << resilience::format_report(summary.invariants);
   }
 
-  const std::string out_path = args.get_string("out", "");
+
   if (!out_path.empty()) {
     std::ofstream out(out_path);
     if (!out) {
@@ -418,70 +477,75 @@ int cmd_chaos(const exp::ArgParser& args) {
   return summary.invariants.all_pass() ? 0 : 1;
 }
 
+
 int cmd_optimize(const exp::ArgParser& args) {
-  args.require_known(kScenarioOpts, {"alpha", "step", "analytic", "trace",
-                                     "trace-categories", "trace-cap"});
-  const auto scenario = scenario_from(args);
+  const bool analytic = args.get_flag("analytic");
+  const exp::Scenario scenario =
+      analytic ? model_scenario_from(args) : scenario_from(args);
   const double alpha = args.get_double("alpha", 0.5);
   const std::size_t step = args.get_size("step", 5);
   const obs::ObsConfig obs_config = obs_from(args);
+  const std::string trace_path = args.get_string("trace", "");
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
 
+  const auto scan_and_print =
+      [&](const std::function<double(std::size_t)>& cost) {
+        core::CutoffScan scan;
+        if (obs_config.enabled) {
+          obs::TraceSink sink(obs_config.trace_capacity,
+                              obs_config.categories);
+          scan = core::scan_cutoffs(0, scenario.num_items, step, cost,
+                                    obs::Tracer(&sink));
+          obs::ObsReport report;
+          report.enabled = true;
+          report.categories = sink.categories();
+          report.trace_capacity = sink.capacity();
+          report.emitted = sink.emitted();
+          report.dropped = sink.dropped();
+          report.events = sink.snapshot();
+          const int rc = write_trace_file(trace_path, report, "optimize");
+          if (rc != 0) return rc;
+        } else {
+          scan = core::scan_cutoffs(0, scenario.num_items, step, cost);
+        }
+        exp::Table table({"K", "total cost"});
+        for (const auto& sample : scan.curve) {
+          table.row().add(sample.cutoff).add(sample.cost, 2);
+        }
+        print_table(table, csv);
+        std::cout << "optimal cutoff K* = " << scan.best_cutoff << " (cost "
+                  << scan.best_cost << ")\n";
+        return 0;
+      };
+
+  if (analytic) {
+    scenario.validate();
+    const catalog::Catalog cat = scenario.build_catalog();
+    const workload::ClientPopulation pop = scenario.build_population();
+    const queueing::HybridAccessModel model(cat, pop, scenario.arrival_rate);
+    return scan_and_print([&model, alpha](std::size_t k) {
+      return model.prioritized_cost(k, alpha);
+    });
+  }
   const auto built = scenario.build();
-  std::unique_ptr<queueing::HybridAccessModel> model;
-  std::function<double(std::size_t)> cost;
-  if (args.has("analytic")) {
-    model = std::make_unique<queueing::HybridAccessModel>(
-        built.catalog, built.population, scenario.arrival_rate);
-    cost = [&model, alpha](std::size_t k) {
-      return model->prioritized_cost(k, alpha);
-    };
-  } else {
-    cost = [&built, alpha](std::size_t k) {
-      core::HybridConfig config;
-      config.cutoff = k;
-      config.alpha = alpha;
-      return exp::run_hybrid(built, config)
-          .total_prioritized_cost(built.population);
-    };
-  }
-
-  exp::Table table({"K", "total cost"});
-  core::CutoffScan scan;
-  if (obs_config.enabled) {
-    obs::TraceSink sink(obs_config.trace_capacity, obs_config.categories);
-    scan = core::scan_cutoffs(0, built.catalog.size(), step, cost,
-                              obs::Tracer(&sink));
-    obs::ObsReport report;
-    report.enabled = true;
-    report.categories = sink.categories();
-    report.trace_capacity = sink.capacity();
-    report.emitted = sink.emitted();
-    report.dropped = sink.dropped();
-    report.events = sink.snapshot();
-    const int rc =
-        write_trace_file(args.get_string("trace", ""), report, "optimize");
-    if (rc != 0) return rc;
-  } else {
-    scan = core::scan_cutoffs(0, built.catalog.size(), step, cost);
-  }
-  for (const auto& sample : scan.curve) {
-    table.row().add(sample.cutoff).add(sample.cost, 2);
-  }
-  print_table(table, args);
-  std::cout << "optimal cutoff K* = " << scan.best_cutoff << " (cost "
-            << scan.best_cost << ")\n";
-  return 0;
+  return scan_and_print([&built, alpha](std::size_t k) {
+    core::HybridConfig config;
+    config.cutoff = k;
+    config.alpha = alpha;
+    return exp::run_hybrid(built, config)
+        .total_prioritized_cost(built.population);
+  });
 }
 
 int cmd_model(const exp::ArgParser& args) {
-  // The model is analytic over the catalog and population: it records no
-  // trace, so the trace-shaping flags are rejected rather than ignored.
-  args.require_known({"theta", "items", "rate", "seed", "jobs", "csv",
-                      "alpha", "cutoff"});
-  const auto scenario = scenario_from(args);
-  scenario.validate();
+  const auto scenario = model_scenario_from(args);
   const double alpha = args.get_double("alpha", 0.5);
   const std::size_t cutoff = args.get_size("cutoff", 40);
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
+
+  scenario.validate();
   const catalog::Catalog cat = scenario.build_catalog();
   const workload::ClientPopulation pop = scenario.build_population();
   queueing::HybridAccessModel model(cat, pop, scenario.arrival_rate);
@@ -499,22 +563,24 @@ int cmd_model(const exp::ArgParser& args) {
   table.row().add("E[T] overall").add(est.overall, 3);
   const double eq19 = model.paper_eq19(cutoff);
   table.row().add("paper Eq.19 (literal)").add(eq19, 3);
-  print_table(table, args);
+  print_table(table, csv);
   return 0;
 }
 
 int cmd_replicate(const exp::ArgParser& args) {
-  args.require_known(kConfigOpts, {"reps", "progress", "resume", "trace",
-                                   "trace-categories", "trace-cap"});
   const auto scenario = scenario_from(args);
   const core::HybridConfig config = config_from(args);
   const std::size_t reps = args.get_size("reps", 10);
-
   exp::ReplicateOptions options;
-  options.jobs = scenario.jobs;
+  options.jobs = args.get_jobs("jobs");
   options.obs = obs_from(args);
-  std::ofstream trace_file;
   const std::string trace_path = args.get_string("trace", "");
+  const std::string progress_path = args.get_string("progress", "");
+  const bool resume = args.get_flag("resume");
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
+
+  std::ofstream trace_file;
   if (!trace_path.empty()) {
     trace_file.open(trace_path);
     if (!trace_file) {
@@ -526,8 +592,6 @@ int cmd_replicate(const exp::ArgParser& args) {
   std::ofstream progress;
   std::unique_ptr<runtime::RunReporter> reporter;
   runtime::CheckpointStore checkpoint;
-  const std::string progress_path = args.get_string("progress", "");
-  const bool resume = args.has("resume");
   if (resume && progress_path.empty()) {
     std::cerr << "replicate: --resume needs --progress FILE (the JSONL file "
                  "of the interrupted run)\n";
@@ -574,7 +638,7 @@ int cmd_replicate(const exp::ArgParser& args) {
       .add("blocking ratio")
       .add(summary.blocking.mean(), 5)
       .add(summary.blocking.ci_half_width(), 5);
-  print_table(table, args);
+  print_table(table, csv);
   if (!trace_path.empty()) {
     std::cout << "wrote merged trace (" << reps << " replications) to "
               << trace_path << "\n";
@@ -585,30 +649,27 @@ int cmd_replicate(const exp::ArgParser& args) {
 int cmd_adaptive(const exp::ArgParser& args) {
   // Runs the re-optimizing server on a drifting workload and prints the
   // cutoff trajectory alongside the delivered QoS. The drift generator is
-  // the workload, so the scenario preset flags do not apply.
-  args.require_known({"theta", "items", "rate", "requests", "seed", "jobs",
-                      "csv", "epoch", "shift", "cutoff", "alpha", "interval",
-                      "half-life"});
-  const auto scenario = scenario_from(args);
-  catalog::Catalog cat(scenario.num_items, scenario.theta,
-                       catalog::LengthModel(scenario.min_length,
-                                            scenario.max_length,
-                                            scenario.mean_length),
-                       scenario.seed);
-  const auto pop = workload::ClientPopulation::zipf_classes(
-      scenario.num_classes, scenario.class_zipf_theta);
+  // the workload, so the scenario preset flags are not read.
+  exp::Scenario scenario = catalog_from(args);
+  scenario.arrival_rate = args.get_double("rate", scenario.arrival_rate);
+  scenario.num_requests = args.get_size("requests", 50000);
   const double epoch = args.get_double("epoch", 500.0);
   const std::size_t shift = args.get_size("shift", scenario.num_items / 3);
-  workload::DriftingGenerator gen(cat, pop, scenario.arrival_rate, epoch,
-                                  shift, scenario.seed);
-  const workload::Trace trace =
-      workload::Trace::record(gen, scenario.num_requests);
-
   core::HybridConfig config;
   config.cutoff = args.get_size("cutoff", 30);
   config.alpha = args.get_double("alpha", 0.5);
   config.reoptimize_interval = args.get_double("interval", 200.0);
   config.estimator_half_life = args.get_double("half-life", 300.0);
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
+
+  scenario.validate();
+  const catalog::Catalog cat = scenario.build_catalog();
+  const workload::ClientPopulation pop = scenario.build_population();
+  workload::DriftingGenerator gen(cat, pop, scenario.arrival_rate, epoch,
+                                  shift, scenario.seed);
+  const workload::Trace trace =
+      workload::Trace::record(gen, scenario.num_requests);
   core::HybridServer server(cat, pop, config);
   const core::SimResult r = server.run(trace);
 
@@ -619,7 +680,7 @@ int cmd_adaptive(const exp::ArgParser& args) {
         .add(r.mean_wait(c), 2)
         .add(pop.priority(c) * r.mean_wait(c), 2);
   }
-  print_table(table, args);
+  print_table(table, csv);
   std::cout << "re-optimizations: " << r.reoptimizations
             << ", final push-set size: "
             << (r.cutoff_history.empty() ? 0u : r.cutoff_history.back().second)
@@ -628,15 +689,17 @@ int cmd_adaptive(const exp::ArgParser& args) {
 }
 
 int cmd_multichannel(const exp::ArgParser& args) {
-  args.require_known(kScenarioOpts, {"cutoff", "alpha", "channels"});
-  const auto built = scenario_from(args).build();
+  const auto scenario = scenario_from(args);
   core::HybridConfig config;
   config.cutoff = args.get_size("cutoff", 40);
   config.alpha = args.get_double("alpha", 0.5);
   config.pull_channels = args.get_size("channels", 2);
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
   if (config.pull_channels == 0) {
     throw std::invalid_argument("--channels must be at least 1");
   }
+  const auto built = scenario.build();
   core::HybridServer server(built.catalog, built.population, config);
   const core::SimResult r = server.run(built.trace);
 
@@ -648,7 +711,7 @@ int cmd_multichannel(const exp::ArgParser& args) {
         .add(r.per_class[c].wait_p99.value(), 2)
         .add(built.population.priority(c) * r.mean_wait(c), 2);
   }
-  print_table(table, args);
+  print_table(table, csv);
   std::cout << "push channel util " << r.channel_utilization[0]
             << ", pull channels:";
   for (std::size_t c = 1; c < r.channel_utilization.size(); ++c) {
@@ -659,18 +722,9 @@ int cmd_multichannel(const exp::ArgParser& args) {
 }
 
 int cmd_closedloop(const exp::ArgParser& args) {
-  // The clients generate the load, so the trace-shaping flags (--rate,
-  // --requests and the scenario preset) do not apply.
-  args.require_known({"theta", "items", "seed", "jobs", "csv", "clients",
-                      "think-rate", "cutoff", "alpha", "horizon"});
-  const auto scenario = scenario_from(args);
-  catalog::Catalog cat(scenario.num_items, scenario.theta,
-                       catalog::LengthModel(scenario.min_length,
-                                            scenario.max_length,
-                                            scenario.mean_length),
-                       scenario.seed);
-  const auto pop = workload::ClientPopulation::zipf_classes(
-      scenario.num_classes, scenario.class_zipf_theta);
+  // The clients generate the load, so the trace flags (--rate, --requests
+  // and the scenario preset) are not read.
+  const exp::Scenario scenario = catalog_from(args);
   core::HybridConfig config;
   config.cutoff = args.get_size("cutoff", 15);
   config.alpha = args.get_double("alpha", 0.25);
@@ -680,6 +734,12 @@ int cmd_closedloop(const exp::ArgParser& args) {
   loop.clients = args.get_size("clients", 50);
   loop.think_rate = args.get_double("think-rate", 0.05);
   loop.horizon = args.get_double("horizon", 20000.0);
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
+
+  scenario.validate();
+  const catalog::Catalog cat = scenario.build_catalog();
+  const workload::ClientPopulation pop = scenario.build_population();
   core::HybridServer server(cat, pop, config);
   const core::SimResult r = server.run(loop);
 
@@ -690,7 +750,7 @@ int cmd_closedloop(const exp::ArgParser& args) {
         .add(static_cast<std::size_t>(r.per_class[c].arrived))
         .add(r.mean_wait(c), 2);
   }
-  print_table(table, args);
+  print_table(table, csv);
   std::cout << "throughput " << r.throughput << " deliveries/unit, push tx "
             << r.push_transmissions << ", pull tx " << r.pull_transmissions
             << "\n";
@@ -698,12 +758,18 @@ int cmd_closedloop(const exp::ArgParser& args) {
 }
 
 int cmd_uplink(const exp::ArgParser& args) {
-  args.require_known(kScenarioOpts, {"slot", "retry"});
-  const auto built = scenario_from(args).build();
+  // The back-channel sees only arrival times, so the catalog flags
+  // (--items, --theta) are not read.
+  exp::Scenario seeded;
+  seeded.seed = args.get_u64("seed", seeded.seed);
+  const exp::Scenario scenario = trace_from(args, seeded);
   uplink::AlohaConfig config;
   config.slot_duration = args.get_double("slot", 0.1);
   config.retry_probability = args.get_double("retry", 0.1);
   config.seed = args.get_u64("seed", 1);
+  const bool csv = args.get_flag("csv");
+  args.reject_unread();
+  const auto built = scenario.build();
   const uplink::AlohaResult r = uplink::simulate_uplink(built.trace, config);
 
   exp::Table table({"metric", "value"});
@@ -713,7 +779,7 @@ int cmd_uplink(const exp::ArgParser& args) {
   table.row().add("max uplink delay").add(r.max_uplink_delay, 3);
   table.row().add("collision ratio").add(r.collision_ratio(), 4);
   table.row().add("throughput / slot").add(r.throughput(), 4);
-  print_table(table, args);
+  print_table(table, csv);
   return 0;
 }
 
@@ -727,7 +793,6 @@ int cmd_lint(const exp::ArgParser& args) {
   std::string baseline_path;
   std::string json_path;
   try {
-    args.require_known({"root", "baseline", "json"});
 #ifdef DETLINT_DEFAULT_ROOT
     const std::string default_root = DETLINT_DEFAULT_ROOT;
 #else
@@ -737,6 +802,7 @@ int cmd_lint(const exp::ArgParser& args) {
     baseline_path = args.get_string(
         "baseline", (root / "tools" / "detlint" / "baseline.txt").string());
     json_path = args.get_string("json", "");
+    args.reject_unread();
   } catch (const std::invalid_argument& e) {
     std::cerr << "lint: " << e.what() << "\n";
     return 2;
@@ -796,9 +862,8 @@ int cmd_lint(const exp::ArgParser& args) {
   return fresh == 0 ? 0 : 1;
 }
 
+
 int cmd_trace(const exp::ArgParser& args) {
-  args.require_known(kConfigOpts,
-                     {"out", "trace", "trace-categories", "trace-cap"});
   const std::string out = args.get_string("out", "");
   const std::string trace_path = args.get_string("trace", "");
   if (out.empty() && trace_path.empty()) {
@@ -807,6 +872,14 @@ int cmd_trace(const exp::ArgParser& args) {
     return 2;
   }
   const auto scenario = scenario_from(args);
+  // Without --trace no server runs, so its configuration is not read.
+  std::optional<core::HybridConfig> config;
+  if (!trace_path.empty()) {
+    config = config_from(args);
+    config->obs = obs_from(args);
+  }
+  args.reject_unread();
+
   const auto built = scenario.build();
   if (!out.empty()) {
     std::ofstream file(out);
@@ -818,33 +891,13 @@ int cmd_trace(const exp::ArgParser& args) {
     std::cout << "wrote " << built.trace.size() << " requests spanning "
               << built.trace.span() << " broadcast units to " << out << "\n";
   }
-  if (!trace_path.empty()) {
-    core::HybridConfig config = config_from(args);
-    config.obs = obs_from(args);
-    const exp::ObservedRun observed = exp::run_hybrid_observed(built, config);
+  if (config) {
+    const exp::ObservedRun observed = exp::run_hybrid_observed(built, *config);
     const int rc = write_trace_file(trace_path, observed.obs, "trace");
     if (rc != 0) return rc;
   }
   return 0;
 }
-
-// Options understood by serve_config_from — the live-serving analogue of
-// kScenarioOpts/kConfigOpts. Execution knobs (--accelerated, --time-scale,
-// --pacers, --queue-capacity) live here too so serve and loadtest share one
-// builder. The fault/ladder flags reuse the simulate/replicate spellings.
-const std::initializer_list<std::string_view> kServeOpts = {
-    "items",        "theta",      "classes", "cutoff",
-    "alpha",        "policy",     "demand",  "duration",
-    "target-qps",   "seed",       "accelerated", "time-scale",
-    "pacers",       "queue-capacity",
-    "scenario",     "scenario-intensity",
-    "mean-deadline", "deadline-scale", "deadline-spike-factor",
-    "deadline-spike-start", "deadline-spike-duration",
-    "fault", "fault-p-gb", "fault-p-bg", "fault-corrupt-good",
-    "fault-corrupt-bad", "fault-retries", "fault-backoff",
-    "fault-backoff-mult", "queue-cap", "shed",
-    "ladder", "ladder-interval", "ladder-capacity", "ladder-cutoff-step",
-    "hedge-after", "drain-after", "sync-every"};
 
 std::vector<double> parse_csv_doubles(const std::string& key,
                                       const std::string& csv) {
@@ -874,49 +927,59 @@ std::vector<double> parse_csv_doubles(const std::string& key,
   return out;
 }
 
-serve::ServeConfig serve_config_from(const exp::ArgParser& args) {
+
+/// The live workload, scheduler and failure model (DESIGN §10), without the
+/// execution knobs. `chaos`: the serve --chaos profile forces the fault
+/// layer and the ladder on (see fault_from and ladder_from).
+serve::ServeConfig serve_config_from(const exp::ArgParser& args, bool chaos) {
   serve::ServeConfig c;
   c.num_items = args.get_size("items", c.num_items);
   c.theta = args.get_double("theta", c.theta);
   c.num_classes = args.get_size("classes", c.num_classes);
   c.cutoff = args.get_size("cutoff", c.cutoff);
-  c.alpha = args.get_double("alpha", c.alpha);
   c.pull_policy = policy_from(args.get_string("policy", "importance"));
-  c.mean_bandwidth_demand = args.get_double("demand", c.mean_bandwidth_demand);
+  c.alpha = alpha_from(args, c.pull_policy, c.alpha);
   c.duration = args.get_positive_double("duration", c.duration);
   c.target_qps = args.get_positive_double("target-qps", c.target_qps);
   c.seed = args.get_u64("seed", c.seed);
-  c.accelerated = args.has("accelerated");
-  c.time_scale = args.get_positive_double("time-scale", c.time_scale);
-  c.pacers =
-      static_cast<std::size_t>(args.get_positive_u64("pacers", c.pacers));
-  c.queue_capacity = static_cast<std::size_t>(
-      args.get_positive_u64("queue-capacity", c.queue_capacity));
-  // Live failure model (DESIGN §10).
+  c.mean_bandwidth_demand = args.get_double("demand", c.mean_bandwidth_demand);
   c.mean_deadline = args.get_double("mean-deadline", c.mean_deadline);
   const std::string scales = args.get_string("deadline-scale", "");
   if (!scales.empty()) {
     c.deadline_scale = parse_csv_doubles("deadline-scale", scales);
   }
-  c.deadline_spike_factor =
-      args.get_double("deadline-spike-factor", c.deadline_spike_factor);
-  c.deadline_spike_start =
-      args.get_double("deadline-spike-start", c.deadline_spike_start);
-  c.deadline_spike_duration =
-      args.get_double("deadline-spike-duration", c.deadline_spike_duration);
-  c.fault = fault_from(args);
-  c.overload.enabled = args.has("ladder");
-  c.overload.eval_interval =
-      args.get_double("ladder-interval", c.overload.eval_interval);
-  c.overload.capacity_ref =
-      args.get_size("ladder-capacity", c.overload.capacity_ref);
-  c.overload.cutoff_step =
-      args.get_size("ladder-cutoff-step", c.overload.cutoff_step);
+  // A deadline spike is read only as a whole: it needs its factor and its
+  // window (ServeConfig::deadline_spike_enabled).
+  if (args.has("deadline-spike-factor") &&
+      args.has("deadline-spike-duration")) {
+    c.deadline_spike_factor =
+        args.get_double("deadline-spike-factor", c.deadline_spike_factor);
+    c.deadline_spike_start =
+        args.get_double("deadline-spike-start", c.deadline_spike_start);
+    c.deadline_spike_duration =
+        args.get_double("deadline-spike-duration", c.deadline_spike_duration);
+  }
+  c.fault = fault_from(args, chaos);
+  c.overload = ladder_from(args, chaos);
   c.hedge_after = args.get_double("hedge-after", c.hedge_after);
   c.drain_after = args.get_double("drain-after", c.drain_after);
-  c.journal_sync_every = args.get_size("sync-every", c.journal_sync_every);
-  c.validate();
   return c;
+}
+
+/// Shapes a synthesized serve plan with a --scenario preset, seeded off the
+/// serve seed on the same hash chain as exp::Scenario::build. The journal
+/// then records the shaped requests, so replay and resume need no scenario
+/// knowledge at all.
+pushpull::scenario::ShapedTrace shape_serve_plan(
+    workload::Trace plan, pushpull::scenario::Preset preset, double intensity,
+    const serve::ServeConfig& config) {
+  const pushpull::scenario::Timeline timeline =
+      pushpull::scenario::make_timeline(preset, intensity, plan.span(),
+                                        config.num_items);
+  return pushpull::scenario::shape_trace(
+      std::move(plan), timeline,
+      rng::SplitMix64::mix(config.seed ^ 0x5EEDCAFEULL), config.num_items,
+      config.num_classes);
 }
 
 // SIGTERM target of `pushpull serve`: the handler only flips the flag; the
@@ -926,19 +989,48 @@ std::atomic<bool> g_drain_requested{false};
 
 extern "C" void on_sigterm(int) { g_drain_requested.store(true); }
 
+
 // Shared body of `pushpull serve` and `pushpull loadtest`: build (or load)
 // the plan, run the live server on the virtual or wall clock, print the
 // deterministic report, optionally recording a crash-consistent sv2
 // journal for replay/resume.
-int run_live(serve::ServeConfig config, const std::string& record_path,
-             const std::string& from_trace, const char* cmd,
-             const exp::ArgParser& args) {
+int run_live(const exp::ArgParser& args, bool accelerated, const char* cmd) {
+  const std::string from_trace = args.get_string("from-trace", "");
+  const std::string record_path = args.get_string("record", "");
+  const std::string trace_path = args.get_string("trace", "");
+  const obs::ObsConfig obs_config = obs_from(args);
+  // A recording fixes the workload universe and the scheduler, so under
+  // --from-trace only the execution knobs and the outputs are read: a
+  // re-offered trace hits the same catalog it was captured against.
+  serve::ServeConfig config;
+  pushpull::scenario::Preset preset = pushpull::scenario::Preset::kNone;
+  double intensity = 1.0;
+  if (from_trace.empty()) {
+    config = serve_config_from(args, /*chaos=*/false);
+    preset = preset_from(args, intensity);
+    if (!record_path.empty()) {
+      config.journal_sync_every =
+          args.get_size("sync-every", config.journal_sync_every);
+    }
+  }
+  config.accelerated = accelerated;
+  // The virtual clock paces nothing and no completion queue carries the
+  // streamed plan, so the wall-clock knobs are read only on the wall clock.
+  if (!accelerated) {
+    config.time_scale =
+        args.get_positive_double("time-scale", config.time_scale);
+    config.pacers = static_cast<std::size_t>(
+        args.get_positive_u64("pacers", config.pacers));
+    config.queue_capacity = static_cast<std::size_t>(
+        args.get_positive_u64("queue-capacity", config.queue_capacity));
+  }
+  args.reject_unread();
+
   std::optional<serve::RecordedRun> recorded;
-  if (!from_trace.empty()) {
+  if (from_trace.empty()) {
+    config.validate();
+  } else {
     recorded = serve::load_trace_file(from_trace);
-    // Workload universe + scheduler come from the recording; only the
-    // execution knobs (clock mode, pacing, queue bound) follow the CLI, so
-    // a re-offered trace hits the same catalog it was captured against.
     serve::ServeConfig base = recorded->config;
     base.accelerated = config.accelerated;
     base.time_scale = config.time_scale;
@@ -952,31 +1044,9 @@ int run_live(serve::ServeConfig config, const std::string& record_path,
       recorded ? serve::LoadDriver(recorded->trace())
                : serve::LoadDriver(cat, pop, config.target_qps,
                                    config.duration, config.seed);
-
-  // Scenario shaping happens at the plan level, before any pacing: the
-  // journal then records the *shaped* requests, so replay and resume need
-  // no scenario knowledge at all.
-  const pushpull::scenario::Preset preset =
-      pushpull::scenario::parse_preset(args.get_string("scenario", "none"));
   if (preset != pushpull::scenario::Preset::kNone) {
-    if (!from_trace.empty()) {
-      std::cerr << cmd
-                << ": --scenario shapes a synthesized plan; it cannot be "
-                   "combined with --from-trace (the recording is already "
-                   "whatever environment it was captured in)\n";
-      return 2;
-    }
-    const double intensity =
-        args.get_positive_double("scenario-intensity", 1.0);
-    const pushpull::scenario::Timeline timeline =
-        pushpull::scenario::make_timeline(preset, intensity,
-                                          driver.plan().span(),
-                                          config.num_items);
     pushpull::scenario::ShapedTrace shaped =
-        pushpull::scenario::shape_trace(
-            driver.plan(), timeline,
-            rng::SplitMix64::mix(config.seed ^ 0x5EEDCAFEULL),
-            config.num_items, config.num_classes);
+        shape_serve_plan(driver.plan(), preset, intensity, config);
     std::cout << "scenario " << pushpull::scenario::to_string(preset)
               << ": shaped " << shaped.summary.total_base()
               << " planned requests (re-homed " << shaped.summary.rehomed
@@ -998,7 +1068,6 @@ int run_live(serve::ServeConfig config, const std::string& record_path,
   }
   serve::TraceRecorder* rec = recorder ? &*recorder : nullptr;
 
-  const obs::ObsConfig obs_config = obs_from(args);
   std::optional<obs::RunObserver> observer;
 
   serve::LiveServer server(cat, pop, config);
@@ -1035,9 +1104,7 @@ int run_live(serve::ServeConfig config, const std::string& record_path,
               << record_path << "\n";
   }
   if (observer) {
-    const int rc =
-        write_trace_file(args.get_string("trace", ""), observer->report(),
-                         cmd);
+    const int rc = write_trace_file(trace_path, observer->report(), cmd);
     if (rc != 0) return rc;
   }
   return 0;
@@ -1047,15 +1114,15 @@ int run_live(serve::ServeConfig config, const std::string& record_path,
 // of a truncated journal, deterministically re-run it (optionally
 // re-journaling into --record FILE, sealed this time), and report.
 int cmd_serve_resume(const exp::ArgParser& args) {
-  args.require_known({"resume", "record"});
   const std::string in = args.get_string("resume", "");
+  const std::string record = args.get_string("record", "");
+  args.reject_unread();
   if (in.empty()) {
     std::cerr << "serve: --resume needs the crashed journal path "
                  "(pushpull serve --resume FILE [--record OUT])\n";
     return 2;
   }
-  const serve::ResumeResult resume =
-      serve::resume_from_journal(in, args.get_string("record", ""));
+  const serve::ResumeResult resume = serve::resume_from_journal(in, record);
   std::cout << "{\"schema\":\"resume1\",\"records\":"
             << resume.recovered.records << ",\"requests\":"
             << resume.recovered.run.requests.size() << ",\"bytes_consumed\":"
@@ -1067,41 +1134,32 @@ int cmd_serve_resume(const exp::ArgParser& args) {
 
 // `pushpull serve --chaos`: the seeded kill/recover/resume/replay harness
 // over the full failure cocktail. Exit 1 when any replication fails the
-// bit-exact replay check.
+// bit-exact replay check. Every rep runs accelerated and journals, so the
+// wall-clock knobs are not read and --sync-every always is.
 int cmd_serve_chaos(const exp::ArgParser& args) {
-  args.require_known(kServeOpts, {"chaos", "reps", "dir", "out"});
-  serve::ServeConfig config = serve::chaos_profile(serve_config_from(args));
-  config.accelerated = true;
-  config.validate();
+  serve::ServeConfig config = serve_config_from(args, /*chaos=*/true);
+  config.journal_sync_every =
+      args.get_size("sync-every", config.journal_sync_every);
   serve::ChaosOptions options;
   options.replications =
       static_cast<std::size_t>(args.get_positive_u64("reps", 5));
   options.scratch_dir = args.get_string("dir", ".");
-  // --scenario used to be accepted and silently ignored here; wire it
-  // through the plan-shaping hook so each rep journals a shaped plan, with
-  // the same timeline/seed derivation as plain `serve --scenario`.
-  const pushpull::scenario::Preset preset =
-      pushpull::scenario::parse_preset(args.get_string("scenario", "none"));
+  double intensity = 1.0;
+  const pushpull::scenario::Preset preset = preset_from(args, intensity);
+  const std::string out = args.get_string("out", "");
+  args.reject_unread();
+
+  config = serve::chaos_profile(config);
+  config.accelerated = true;
+  config.validate();
   if (preset != pushpull::scenario::Preset::kNone) {
-    const double intensity =
-        args.get_positive_double("scenario-intensity", 1.0);
-    options.shape_plan = [preset, intensity](
-                             workload::Trace plan,
-                             const serve::ServeConfig& cfg) {
-      const pushpull::scenario::Timeline timeline =
-          pushpull::scenario::make_timeline(preset, intensity, plan.span(),
-                                            cfg.num_items);
-      pushpull::scenario::ShapedTrace shaped =
-          pushpull::scenario::shape_trace(
-              std::move(plan), timeline,
-              rng::SplitMix64::mix(cfg.seed ^ 0x5EEDCAFEULL),
-              cfg.num_items, cfg.num_classes);
-      return std::move(shaped.trace);
+    options.shape_plan = [preset, intensity](workload::Trace plan,
+                                             const serve::ServeConfig& cfg) {
+      return shape_serve_plan(std::move(plan), preset, intensity, cfg).trace;
     };
   }
   const serve::ChaosReport report = serve::run_chaos(config, options);
   const std::string rendered = serve::render_chaos_report(report);
-  const std::string out = args.get_string("out", "");
   if (!out.empty()) {
     std::ofstream file(out);
     if (!file) {
@@ -1121,53 +1179,32 @@ int cmd_serve(const exp::ArgParser& args) {
   // `pushpull loadtest --accelerated`. SIGTERM (or --drain-after) drains
   // gracefully instead of killing the run.
   if (args.has("resume")) return cmd_serve_resume(args);
-  if (args.has("chaos")) return cmd_serve_chaos(args);
-  args.require_known(kServeOpts, {"record", "from-trace", "trace",
-                                  "trace-categories", "trace-cap"});
-  serve::ServeConfig config = serve_config_from(args);
-  config.accelerated = false;
-  return run_live(config, args.get_string("record", ""),
-                  args.get_string("from-trace", ""), "serve", args);
+  if (args.get_flag("chaos")) return cmd_serve_chaos(args);
+  return run_live(args, /*accelerated=*/false, "serve");
 }
 
 int cmd_loadtest(const exp::ArgParser& args) {
-  args.require_known(kServeOpts, {"record", "from-trace", "trace",
-                                  "trace-categories", "trace-cap"});
-  if (args.has("accelerated")) {
-    // The virtual clock paces nothing and no completion queue carries the
-    // streamed plan, so these would be accepted and silently ignored.
-    for (const char* wall_only : {"time-scale", "pacers", "queue-capacity"}) {
-      if (args.has(wall_only)) {
-        std::cerr << "loadtest: --" << wall_only
-                  << " has no effect with --accelerated (it configures "
-                     "wall-clock pacing only)\n";
-        return 2;
-      }
-    }
-  }
-  const serve::ServeConfig config = serve_config_from(args);
-  return run_live(config, args.get_string("record", ""),
-                  args.get_string("from-trace", ""), "loadtest", args);
+  return run_live(args, args.get_flag("accelerated"), "loadtest");
 }
 
 int cmd_replay(const exp::ArgParser& args) {
-  args.require_known({"in", "reps", "jobs", "out"});
+  // Only replay takes a positional argument after the command: the
+  // recording, when --in does not name it.
   std::string path = args.get_string("in", "");
-  if (path.empty() && args.positional().size() > 1) {
-    path = args.positional()[1];
-  }
+  if (path.empty()) path = args.get_positional(1, "");
+  serve::ReplayOptions options;
+  options.reps = static_cast<std::size_t>(args.get_positive_u64("reps", 1));
+  options.jobs = args.has("jobs") ? args.get_jobs("jobs") : 1;
+  const std::string out = args.get_string("out", "");
+  args.reject_unread();
   if (path.empty()) {
     std::cerr << "replay: need a recorded trace "
                  "(pushpull replay TRACE.jsonl, or --in FILE)\n";
     return 2;
   }
   const serve::RecordedRun run = serve::load_trace_file(path);
-  serve::ReplayOptions options;
-  options.reps = static_cast<std::size_t>(args.get_positive_u64("reps", 1));
-  options.jobs = args.has("jobs") ? args.get_jobs("jobs") : 1;
   const auto results = serve::replay(run, options);
   const std::string report = serve::render_replay_report(run, results);
-  const std::string out = args.get_string("out", "");
   if (!out.empty()) {
     std::ofstream file(out);
     if (!file) {
@@ -1184,19 +1221,35 @@ void usage() {
   std::cout <<
       R"(pushpull — hybrid push/pull broadcast scheduling (ICPP 2005 reproduction)
 
+Each command reads only the flags that reach its run. Any other flag exits
+1 with "unknown option", and so does a sub-flag passed without its switch:
+--fault-* without --fault, --shed without --queue-cap, the crash flags
+without --crash-rate, --snapshot-interval without --recovery warm,
+--ladder-* without --ladder, --trace-* without --trace, --sync-every
+without --record, --scenario-intensity without --scenario, half of a
+spike, and --alpha under a policy other than importance / importance-q.
+
 commands:
   simulate     run the hybrid server once, print per-class QoS
+               (--report FILE also writes a markdown report)
   optimize     scan cutoffs for the minimum total prioritized cost
+               (--step K cutoff stride, default 5; --analytic scans the
+               analytical model instead, records no trace and so reads no
+               --requests or --scenario*)
   model        evaluate the analytical access-time model at one cutoff
-               (records no trace: --requests and --scenario* are rejected)
+               (records no trace: no --requests or --scenario*)
   replicate    run many seeds, report means with 95% confidence intervals
                (--jobs N parallel workers; output is bit-identical for any N)
   adaptive     re-optimizing server (--interval, --half-life) on a drifting
-               workload (--epoch, --shift)
+               workload (--epoch, --shift); no --scenario*
   multichannel dedicated broadcast channel + N pull channels (--channels)
   uplink       push the trace through the slotted-ALOHA back-channel
+               (--slot T slot length, default 0.1; --retry P retransmission
+               probability, default 0.1); it sees only arrival times, so no
+               --items or --theta
   closedloop   finite client population (--clients, --think-rate,
-               --horizon)
+               --horizon); the clients make the load: no --rate,
+               --requests or --scenario*
   chaos        seeded chaos/soak harness: crashes + burst errors + arrival
                spike over N replications, with a machine-verified invariant
                suite (exit 1 on any violation)
@@ -1209,49 +1262,58 @@ commands:
                resume/replay harness (exit 1 on any replay mismatch)
   loadtest     measurement run of the live server; --accelerated streams
                the plan through the same engine on its virtual clock (fast,
-               seeded, bit-reproducible; --time-scale, --pacers and
-               --queue-capacity are wall-clock only and rejected there),
-               --record FILE captures an sv2 journal
+               seeded, bit-reproducible; no --time-scale, --pacers or
+               --queue-capacity there), --record FILE captures an sv2
+               journal
   replay       feed a recorded trace back through the engine that served
-               it (pushpull replay TRACE [--reps R] [--jobs N]): the whole
-               failure model and the drain replay in the DES core; rep 0
-               re-runs the recorded seed bit-exactly
+               it (pushpull replay TRACE, or --in TRACE; --reps R, --jobs N,
+               --out FILE): the whole failure model and the drain replay in
+               the DES core; rep 0 re-runs the recorded seed bit-exactly
   trace        record the scenario's request trace to CSV (--out FILE)
                and/or run the hybrid server with full observability and
-               write the sim-time event trace as JSONL (--trace FILE)
+               write the sim-time event trace as JSONL (--trace FILE; the
+               server flags are read only with it)
   lint         print the determinism-contract rules (D1-D5, L1, R1-R2, S1)
                and baseline stats, then run every detlint pass over the
                tree — per-file rules, layer DAG, dead suppressions,
                baseline ratchet (--root DIR, --baseline FILE, --json FILE;
-               exit 0 clean / 1 findings / 2 usage-IO)
+               exit 0 clean / 1 findings / 2 usage-IO, unknown flags too)
 
-common options:
-  --theta T --alpha A --cutoff K --requests N --seed S --items D --rate L
-  --policy {fcfs,mrf,stretch,priority,rxw,lwf,importance,importance-q}
-  --bandwidth B --demand D --patience P --csv --report FILE (simulate)
+workload (every command but replay and lint):
+  --theta T --items D --seed S   catalog skew and size, and the seed
+  --rate L --requests N   Poisson arrival rate and trace length
   --scenario {none,diurnal,flashcrowd,commuter,kitchen-sink}
                apply a seeded environment timeline to the recorded trace:
                piecewise arrival modulation (diurnal curves, flash-crowd
                ramps), moving-Zipf popularity rotation, and cell handoffs
                that re-home or lose in-flight requests. RNG-free trace
                transformation — `none` (default) is byte-identical to
-               pre-scenario builds. Honored by the trace-driven commands
-               (simulate / optimize / trace / multichannel / uplink /
-               replicate / chaos) and by serve / loadtest (shapes the
-               synthesized plan; incompatible with --from-trace)
+               pre-scenario builds. Shapes the recorded trace of simulate /
+               optimize / replicate / multichannel / uplink / chaos / trace,
+               and the synthesized plan of serve / loadtest
   --scenario-intensity X   how far the preset departs from the stationary
                baseline (default 1.0; rate deviations scale by X, handoff
                probabilities scale linearly, capped at 0.9)
-  --jobs N     worker threads for replicate (default: all hardware threads;
-               --jobs 1 = serial). Seeds derive from the replication index,
-               so results are identical for every N.
-  --progress FILE  write JSONL progress + checkpoint lines (one per finished
-               replication); also the input for --resume
-  --resume     with --progress FILE: restore replications already
-               checkpointed in FILE (from a killed run) and compute only the
-               rest; the summary is bit-identical to an uninterrupted run
+  --csv        print the result table as CSV (the commands that print one)
 
-fault injection (simulate / replicate):
+scheduler (simulate / replicate / chaos / trace / serve / loadtest; the
+drift, multichannel and closed-loop runs take --cutoff and --alpha):
+  --cutoff K --alpha A   push-set size and the importance weight
+  --policy {fcfs,mrf,stretch,priority,rxw,lwf,importance,importance-q}
+  --bandwidth B --demand D --patience P   (not serve / loadtest: --demand)
+
+replication (replicate / chaos):
+  --jobs N     worker threads (default: all hardware threads; --jobs 1 =
+               serial). Seeds derive from the replication index, so results
+               are identical for every N.
+  --progress FILE  write JSONL progress + checkpoint lines (one per finished
+               replication); also the input for replicate --resume
+  --resume     (replicate) with --progress FILE: restore replications
+               already checkpointed in FILE (from a killed run) and compute
+               only the rest; the summary is bit-identical to an
+               uninterrupted run
+
+fault injection (simulate / replicate / chaos / trace / serve / loadtest):
   --fault      enable the Gilbert-Elliott burst-error downlink channel
   --fault-p-gb P / --fault-p-bg P   good->bad / bad->good transition
                probabilities per transmission (default 0.05 / 0.30)
@@ -1264,7 +1326,8 @@ fault injection (simulate / replicate):
   --shed {tail,priority}   overload policy at the cap: refuse the newcomer
                (tail) or evict the lowest-importance request (priority)
 
-resilience (simulate / replicate / chaos):
+resilience (simulate / replicate / chaos / trace; serve / loadtest take
+the ladder):
   --crash-rate R   Poisson server-crash rate per broadcast unit (0 = never);
                crashes void the in-flight transmission and wipe the queue
   --crash-downtime T   dark time after each crash (default 50)
@@ -1296,10 +1359,11 @@ observability (simulate / optimize / replicate / trace / serve / loadtest):
                (replicate: the merged stream is bit-identical for every
                --jobs value and across --resume)
 
-live serving (serve / loadtest / replay):
+live serving (serve / loadtest):
   --duration SEC   load-generation horizon in broadcast units (default 50);
                must be a positive finite number
   --target-qps N   mean offered arrivals per broadcast unit (default 5)
+  --classes N  service classes in the synthesized population (default 3)
   --accelerated    (loadtest) virtual clock: the event loop advances time
                itself; the run is a pure function of the seed
   --time-scale X   broadcast units per wall second on the wall clock
@@ -1309,20 +1373,17 @@ live serving (serve / loadtest / replay):
                requests exist
   --queue-capacity N   completion-queue bound; a full queue backpressures
                the pacers (default 1024). --time-scale, --pacers and
-               --queue-capacity configure the wall clock only: loadtest
-               --accelerated rejects them
+               --queue-capacity configure the wall clock only
   --record FILE    write the run as a crash-consistent sv2 journal (framed
                header + requests + decisions + sealed ledger footer) — the
                input to `pushpull replay` and `serve --resume`; sv1 JSONL
                traces from older builds are no longer read
+  --sync-every N   fsync the journal every N records (default 64; 0 = only
+               at seal)
   --from-trace FILE    re-offer a recorded trace as the load plan instead of
-               synthesizing one (workload + scheduler come from the file)
-  --classes N  service classes in the synthesized population (default 3)
-  --reps R     (replay) server-side replications over the recorded workload:
-               rep 0 uses the recorded seed verbatim, rep r > 0 decorrelates
-               the server seed; merged in rep order so --jobs N never
-               changes the bytes
-  --out FILE   (replay) also write the report to FILE
+               synthesizing one. The workload and the scheduler come from
+               the file, so only --accelerated, the wall-clock flags and the
+               output flags are read with it
 
 live failure model (serve / loadtest; defaults inert):
   --mean-deadline T    mean exponential per-request deadline in broadcast
@@ -1331,18 +1392,17 @@ live failure model (serve / loadtest; defaults inert):
                (e.g. 2.0,1.0,0.5: premium classes wait longer)
   --deadline-spike-factor F --deadline-spike-start T
   --deadline-spike-duration W   chaos: deadlines drawn in [T, T+W) are
-               multiplied by F (F < 1 tightens them)
-  --fault* / --queue-cap / --shed   the simulate/replicate fault layer,
-               applied to the live loop (burst errors, bounded retries,
-               bounded queue with shedding)
+               multiplied by F (F < 1 tightens them); read only with both
+               F and W
+  --fault* / --queue-cap / --shed   the fault layer above, applied to the
+               live loop (burst errors, bounded retries, bounded queue with
+               shedding)
   --ladder*    the overload degradation ladder; transitions are stamped
                into the journal decision log
   --hedge-after T  hedge a pull request still queued after T units: post a
                duplicate into its item entry to boost its priority
   --drain-after T  stop admission at serve time T and drain (what SIGTERM
                does on the wall clock)
-  --sync-every N   fsync the journal every N records (default 64; 0 = only
-               at seal)
 
 serve --resume / --chaos:
   --resume FILE    salvage the longest valid prefix of a truncated journal,
@@ -1351,7 +1411,12 @@ serve --resume / --chaos:
   --chaos      seeded kill/recover/resume/replay harness over the full
                failure cocktail (deadlines + spike + burst errors + ladder);
                per rep: journal a run, truncate at a random offset, resume,
-               replay, compare per-class stats bit-for-bit
+               replay, compare per-class stats bit-for-bit. Every rep runs
+               accelerated with the ladder on and journals, so it reads no
+               --accelerated, wall-clock flag or --ladder, and reads
+               --ladder-*, --sync-every and the retry flags without their
+               switches; the channel flags, --shed and the deadline spike
+               apply only with --fault, --queue-cap and a whole spike
   --reps R     (--chaos) replications (default 5)
   --dir DIR    (--chaos) where per-rep journal artifacts land (default .)
   --out FILE   (--chaos) also write the chaos report to FILE
@@ -1363,7 +1428,8 @@ chaos options:
                never changes the numbers)
   --spike-factor F --spike-start T --spike-duration W   compress arrivals in
                [T, T+W) by F (instantaneous rate multiplies by F). F must be
-               positive finite; T and W non-negative finite
+               positive finite; T and W non-negative finite; read only with
+               both F and W
   --scenario NAME --scenario-intensity X   compose an environment timeline
                with the crash/fault cocktail from the same seed; adds the
                conservation-across-handoff invariant per class
@@ -1379,11 +1445,11 @@ chaos options:
 int main(int argc, char** argv) {
   try {
     const exp::ArgParser args(argc, argv);
-    if (args.positional().empty()) {
+    const std::string command = args.get_positional(0, "");
+    if (command.empty()) {
       usage();
       return 2;
     }
-    const std::string& command = args.positional().front();
     if (command == "simulate") return cmd_simulate(args);
     if (command == "optimize") return cmd_optimize(args);
     if (command == "model") return cmd_model(args);
@@ -1399,6 +1465,7 @@ int main(int argc, char** argv) {
     if (command == "trace") return cmd_trace(args);
     if (command == "lint") return cmd_lint(args);
     if (command == "help") {
+      args.reject_unread();
       usage();
       return 0;
     }
