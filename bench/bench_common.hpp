@@ -5,11 +5,13 @@
 // trace across configurations (paired comparison), and prints its series
 // through exp::Table. Pass --csv to any bench for machine-readable output.
 
-#include <cstring>
+#include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 #include <string_view>
 
+#include "exp/cli.hpp"
 #include "exp/plots.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -21,35 +23,48 @@ struct BenchOptions {
   bool csv = false;
   std::size_t num_requests = 60000;
   std::uint64_t seed = 20050614;
-  /// Worker threads for grid sweeps: 0 = one per hardware thread (the
-  /// default), 1 = serial. Output is identical for any value — sweeps
-  /// collect results in grid order.
+  /// Worker threads for grid sweeps: one per hardware thread unless
+  /// --jobs N. Output is identical for any value — sweeps collect results
+  /// in grid order.
   std::size_t jobs = 0;
-  /// When non-empty, benches additionally emit <prefix>.dat/.gp gnuplot
-  /// files rendering the figure.
-  std::string plot_prefix;
 };
 
-inline BenchOptions parse_options(int argc, char** argv) {
+/// Hands the command line to `read`, then rejects any flag it left unread.
+/// A malformed or unread flag prints the error and exits 1, before the
+/// bench times anything.
+template <typename Read>
+void parse_or_exit(int argc, char** argv, Read read) {
+  try {
+    const exp::ArgParser args(argc, argv);
+    read(args);
+    args.reject_unread();
+  } catch (const std::exception& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    std::exit(1);
+  }
+}
+
+/// The flags every figure bench shares. A bench that writes a JSON report
+/// or gnuplot files passes `out_path` or `plot_prefix` (holding the
+/// default) to read --out or --plot; the others reject those flags.
+inline BenchOptions parse_options(int argc, char** argv,
+                                  std::string* out_path = nullptr,
+                                  std::string* plot_prefix = nullptr) {
   BenchOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--csv") {
-      opts.csv = true;
-    } else if (arg == "--requests" && i + 1 < argc) {
-      opts.num_requests = static_cast<std::size_t>(std::stoull(argv[++i]));
-    } else if (arg == "--seed" && i + 1 < argc) {
-      opts.seed = std::stoull(argv[++i]);
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      opts.jobs = static_cast<std::size_t>(std::stoull(argv[++i]));
-    } else if (arg == "--plot" && i + 1 < argc) {
-      opts.plot_prefix = argv[++i];
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "options: [--csv] [--requests N] [--seed S] [--jobs N] "
-                   "[--plot PREFIX]\n";
+  parse_or_exit(argc, argv, [&](const exp::ArgParser& args) {
+    if (args.get_flag("help")) {
+      std::cout << "options: [--csv] [--requests N] [--seed S] [--jobs N]"
+                << (out_path ? " [--out FILE]" : "")
+                << (plot_prefix ? " [--plot PREFIX]" : "") << "\n";
       std::exit(0);
     }
-  }
+    opts.csv = args.get_flag("csv");
+    opts.num_requests = args.get_size("requests", opts.num_requests);
+    opts.seed = args.get_u64("seed", opts.seed);
+    opts.jobs = args.get_jobs("jobs");
+    if (out_path) *out_path = args.get_string("out", *out_path);
+    if (plot_prefix) *plot_prefix = args.get_string("plot", *plot_prefix);
+  });
   return opts;
 }
 

@@ -42,11 +42,8 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::parse_options(argc, argv);
   std::string out_path = "BENCH_resilience.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--out" && i + 1 < argc) out_path = argv[i + 1];
-  }
+  const auto opts = bench::parse_options(argc, argv, &out_path);
 
   // Elevated load so the ladder has something to degrade gracefully from;
   // the trace is shared across every cell (paired comparison).

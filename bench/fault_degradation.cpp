@@ -47,11 +47,8 @@ struct LoadPoint {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::parse_options(argc, argv);
   std::string out_path = "BENCH_fault.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--out" && i + 1 < argc) out_path = argv[i + 1];
-  }
+  const auto opts = bench::parse_options(argc, argv, &out_path);
 
   const exp::Scenario scenario = bench::paper_scenario(opts, 0.60);
   const auto built = scenario.build();

@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace pushpull;
-  const auto opts = bench::parse_options(argc, argv);
+  std::string plot_prefix;
+  const auto opts = bench::parse_options(argc, argv, nullptr, &plot_prefix);
 
   std::cout << "# Figure 3 — delay vs cutoff, alpha = 0.0 (priority-only "
                "pull selection)\n";
@@ -54,9 +55,9 @@ int main(int argc, char** argv) {
     }
   }
   bench::emit(table, opts);
-  if (!opts.plot_prefix.empty()) {
-    exp::write_gnuplot(opts.plot_prefix, plot);
-    std::cout << "# wrote " << opts.plot_prefix << ".dat/.gp\n";
+  if (!plot_prefix.empty()) {
+    exp::write_gnuplot(plot_prefix, plot);
+    std::cout << "# wrote " << plot_prefix << ".dat/.gp\n";
   }
   return 0;
 }

@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace pushpull;
-  const auto opts = bench::parse_options(argc, argv);
+  std::string plot_prefix;
+  const auto opts = bench::parse_options(argc, argv, nullptr, &plot_prefix);
 
   std::cout << "# Figure 7 — analytical vs simulation, theta = 0.60, "
                "alpha = 0.75\n";
@@ -61,9 +62,9 @@ int main(int argc, char** argv) {
     plot.series[1].points.emplace_back(static_cast<double>(k), est.overall);
   }
   bench::emit(table, opts);
-  if (!opts.plot_prefix.empty()) {
-    exp::write_gnuplot(opts.plot_prefix, plot);
-    std::cout << "# wrote " << opts.plot_prefix << ".dat/.gp\n";
+  if (!plot_prefix.empty()) {
+    exp::write_gnuplot(plot_prefix, plot);
+    std::cout << "# wrote " << plot_prefix << ".dat/.gp\n";
   }
   std::cout << "# eq19 (literal) = -1.00 marks cutoffs where the paper's "
                "un-batched Eq. 19 is unstable (infinite).\n";

@@ -19,19 +19,22 @@
 #include <iostream>
 #include <string>
 
-#include "exp/cli.hpp"
+#include "bench_common.hpp"
 #include "exp/scenario.hpp"
 #include "obs/profile.hpp"
 #include "runtime/run_reporter.hpp"
 
 int main(int argc, char** argv) {
   using namespace pushpull;
-  const exp::ArgParser args(argc, argv);
-  const std::size_t rounds = args.get_size("rounds", 5);
-  const std::string out_path = args.get_string("out", "BENCH_obs.json");
-
+  std::size_t rounds = 5;
+  std::string out_path = "BENCH_obs.json";
   exp::Scenario scenario;
-  scenario.num_requests = args.get_size("requests", 40000);
+  scenario.num_requests = 40000;
+  bench::parse_or_exit(argc, argv, [&](const exp::ArgParser& args) {
+    rounds = args.get_size("rounds", rounds);
+    out_path = args.get_string("out", out_path);
+    scenario.num_requests = args.get_size("requests", scenario.num_requests);
+  });
   const auto built = scenario.build();
 
   core::HybridConfig off;

@@ -71,11 +71,8 @@ bool summaries_identical(const exp::ChaosSummary& a,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::parse_options(argc, argv);
   std::string out_path = "BENCH_scenarios.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--out" && i + 1 < argc) out_path = argv[i + 1];
-  }
+  const auto opts = bench::parse_options(argc, argv, &out_path);
 
   const std::vector<Preset> presets = {Preset::kDiurnal, Preset::kFlashcrowd,
                                        Preset::kCommuter,

@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/cli.hpp"
+#include "bench_common.hpp"
 #include "exp/table.hpp"
 #include "obs/export.hpp"
 #include "serve/serve.hpp"
@@ -82,10 +82,14 @@ Point run_point(const serve::ServeConfig& config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::ArgParser args(argc, argv);
-  const double duration = args.get_positive_double("duration", 200.0);
-  const std::uint64_t seed = args.get_u64("seed", 20050614);
-  const std::string out_path = args.get_string("out", "BENCH_serve_chaos.json");
+  double duration = 200.0;
+  std::uint64_t seed = 20050614;
+  std::string out_path = "BENCH_serve_chaos.json";
+  bench::parse_or_exit(argc, argv, [&](const exp::ArgParser& args) {
+    duration = args.get_positive_double("duration", duration);
+    seed = args.get_u64("seed", seed);
+    out_path = args.get_string("out", out_path);
+  });
 
   // Uniform deadlines (no per-class scales): any per-class failure skew is
   // the scheduler's and ladder's priority treatment, which is exactly what

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/cli.hpp"
+#include "bench_common.hpp"
 #include "exp/table.hpp"
 #include "obs/export.hpp"
 #include "serve/serve.hpp"
@@ -82,10 +82,14 @@ Point run_point(serve::ServeConfig config) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const exp::ArgParser args(argc, argv);
-  const double duration = args.get_positive_double("duration", 300.0);
-  const std::uint64_t seed = args.get_u64("seed", 20050614);
-  const std::string out_path = args.get_string("out", "BENCH_serve.json");
+  double duration = 300.0;
+  std::uint64_t seed = 20050614;
+  std::string out_path = "BENCH_serve.json";
+  bench::parse_or_exit(argc, argv, [&](const exp::ArgParser& args) {
+    duration = args.get_positive_double("duration", duration);
+    seed = args.get_u64("seed", seed);
+    out_path = args.get_string("out", out_path);
+  });
 
   const std::vector<double> sweep = {2.0, 5.0, 8.0, 12.0, 20.0};
   std::vector<Point> points;

@@ -35,9 +35,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/pull_queue.hpp"
 #include "des/event_queue.hpp"
-#include "exp/cli.hpp"
 #include "exp/scenario.hpp"
 #include "runtime/run_reporter.hpp"
 #include "sched/pull/policy.hpp"
@@ -205,11 +205,17 @@ LoopResult min_of(std::size_t rounds, Fn&& fn) {
 
 int main(int argc, char** argv) {
   using namespace pushpull;
-  const exp::ArgParser args(argc, argv);
-  const std::size_t rounds = args.get_size("rounds", 7);
-  const std::size_t ops = args.get_size("ops", 300000);
-  const std::string out_path =
-      args.get_string("out", "BENCH_throughput.json");
+  std::size_t rounds = 7;
+  std::size_t ops = 300000;
+  std::string out_path = "BENCH_throughput.json";
+  exp::Scenario scenario;
+  scenario.num_requests = 120000;
+  bench::parse_or_exit(argc, argv, [&](const exp::ArgParser& args) {
+    rounds = args.get_size("rounds", rounds);
+    ops = args.get_size("ops", ops);
+    out_path = args.get_string("out", out_path);
+    scenario.num_requests = args.get_size("requests", scenario.num_requests);
+  });
 
   using des::EventQueueKind;
   using core::PullQueue;
@@ -246,8 +252,6 @@ int main(int argc, char** argv) {
 
   // 3. Trace-enabled overhead of the full hybrid run. Export/report stay
   //    outside the timed region (deferred rendering is the design).
-  exp::Scenario scenario;
-  scenario.num_requests = args.get_size("requests", 120000);
   const auto built = scenario.build();
   core::HybridConfig obs_off;
   obs_off.cutoff = 30;

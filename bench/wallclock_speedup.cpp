@@ -13,19 +13,24 @@
 #include <string>
 #include <thread>
 
-#include "exp/cli.hpp"
+#include "bench_common.hpp"
 #include "exp/replication.hpp"
 #include "runtime/run_reporter.hpp"
 
 int main(int argc, char** argv) {
   using namespace pushpull;
-  const exp::ArgParser args(argc, argv);
-  const std::size_t reps = args.get_size("reps", 20);
-  const std::size_t jobs = args.get_size("jobs", 4);
-  const std::string out_path = args.get_string("out", "BENCH_parallel.json");
-
+  std::size_t reps = 20;
+  std::size_t jobs = 4;
+  std::string out_path = "BENCH_parallel.json";
   exp::Scenario scenario;
-  scenario.num_requests = args.get_size("requests", 8000);
+  scenario.num_requests = 8000;
+  bench::parse_or_exit(argc, argv, [&](const exp::ArgParser& args) {
+    reps = args.get_size("reps", reps);
+    jobs = args.get_size("jobs", jobs);
+    out_path = args.get_string("out", out_path);
+    scenario.num_requests = args.get_size("requests", scenario.num_requests);
+  });
+
   core::HybridConfig config;
   config.cutoff = 30;
   config.alpha = 0.5;
