@@ -6,7 +6,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "runtime/checkpoint.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/run_reporter.hpp"
 #include "runtime/thread_pool.hpp"
@@ -25,10 +24,6 @@ struct SweepOptions {
   /// Label stamped on the reporter's run_start/run_end lines. Must outlive
   /// the sweep call (string literals do).
   std::string_view label = "sweep";
-  /// Optional checkpoint from a previous (killed) run's JSONL; only
-  /// resumable_sweep consumes it — plain sweep() has no way to decode a
-  /// stored payload back into fn's result type.
-  const runtime::CheckpointStore* resume = nullptr;
 };
 
 /// Evaluates `fn(i)` for every grid point i in [0, num_points) — each point
@@ -65,34 +60,6 @@ template <typename Fn>
                                    watch.elapsed_ms());
   }
   return results;
-}
-
-/// Crash-safe variant of sweep(): each finished grid point is checkpointed
-/// through `serialize` (result -> payload string, recorded via the
-/// reporter), and when `options.resume` holds a payload for point i the
-/// point is restored with `deserialize` instead of recomputed. As long as
-/// serialize/deserialize round-trip the result exactly (use hexfloat
-/// encode_double/decode_double for doubles), a killed-and-resumed sweep is
-/// bit-identical to an uninterrupted one for any worker count.
-template <typename Fn, typename Ser, typename De>
-[[nodiscard]] auto resumable_sweep(std::size_t num_points, Fn&& fn, Ser&& serialize,
-                                   De&& deserialize, const SweepOptions& options = {})
-    -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
-  auto point = [&](std::size_t i) {
-    if (options.resume) {
-      if (const std::string* payload = options.resume->find(i)) {
-        return deserialize(*payload);
-      }
-    }
-    auto result = fn(i);
-    if (options.reporter) {
-      options.reporter->job_payload(i, serialize(result));
-    }
-    return result;
-  };
-  SweepOptions inner = options;
-  inner.resume = nullptr;  // consumed here; plain sweep must not see it
-  return sweep(num_points, point, inner);
 }
 
 }  // namespace pushpull::exp

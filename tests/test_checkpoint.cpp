@@ -13,7 +13,6 @@
 
 #include "counting_new.hpp"
 #include "exp/replication.hpp"
-#include "exp/sweep.hpp"
 #include "metrics/welford.hpp"
 #include "rng/splitmix64.hpp"
 #include "runtime/checkpoint.hpp"
@@ -560,36 +559,6 @@ TEST(Resume, CheckpointFromDifferentExperimentIsRejected) {
 
   // ...while the matching experiment still resumes cleanly.
   EXPECT_NO_THROW((void)exp::replicate_hybrid(scenario, config, 3, opts));
-}
-
-// --- resumable_sweep ------------------------------------------------------
-
-TEST(Resume, ResumableSweepRestoresCheckpointedPoints) {
-  auto fn = [](std::size_t i) { return static_cast<double>(i) * 1.5; };
-  auto ser = [](double v) { return runtime::encode_double(v); };
-  auto de = [](const std::string& p) { return runtime::decode_double(p); };
-
-  std::ostringstream log;
-  std::vector<double> expected;
-  {
-    runtime::RunReporter reporter(log);
-    exp::SweepOptions opts;
-    opts.reporter = &reporter;
-    expected = exp::resumable_sweep(5, fn, ser, de, opts);
-  }
-  std::istringstream in(log.str());
-  const auto checkpoint = runtime::CheckpointStore::load(in);
-  ASSERT_EQ(checkpoint.size(), 5u);
-
-  // Resume with a poisoned fn: any recomputation would be visible.
-  auto poisoned = [](std::size_t) -> double {
-    throw std::runtime_error("should not recompute");
-  };
-  exp::SweepOptions resume_opts;
-  resume_opts.resume = &checkpoint;
-  const auto resumed =
-      exp::resumable_sweep(5, poisoned, ser, de, resume_opts);
-  EXPECT_EQ(resumed, expected);
 }
 
 }  // namespace
