@@ -19,8 +19,9 @@ namespace pushpull::workload {
 /// receive and keep it).
 ///
 /// This is the client model of the Broadcast Disks line of work grafted
-/// onto the paper's class-prioritized population; bench/ext_client_cache
-/// uses it to show how terminal memory offloads the downlink.
+/// onto the paper's class-prioritized population; `bench/figures
+/// ext_client_cache` uses it to show how terminal memory offloads the
+/// downlink.
 class CachedRequestGenerator {
  public:
   /// `clients_per_class[c]` identified clients in class c (must be >= 1);
