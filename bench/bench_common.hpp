@@ -1,10 +1,10 @@
 #pragma once
 
-// Shared plumbing for `figures` and the JSON-writing degradation benches:
-// every bench builds the paper's §5.1 scenario through exp::Scenario,
-// replays the identical trace across configurations (paired comparison),
-// and prints its series through exp::Table. Pass --csv for
-// machine-readable output.
+// Shared plumbing for the bench binaries: `figures` builds the paper's §5.1
+// scenario through exp::Scenario, replays the identical trace across
+// configurations (paired comparison), and prints its series through
+// exp::Table (--csv for machine-readable output); every bench parses its
+// flags through parse_or_exit.
 
 #include <cstdlib>
 #include <exception>
@@ -41,26 +41,6 @@ void parse_or_exit(int argc, char** argv, Read read) {
     std::cerr << argv[0] << ": " << e.what() << "\n";
     std::exit(1);
   }
-}
-
-/// The flags the JSON-writing benches share; --out replaces `out_path`,
-/// which holds the bench's default report path.
-inline BenchOptions parse_options(int argc, char** argv,
-                                  std::string& out_path) {
-  BenchOptions opts;
-  parse_or_exit(argc, argv, [&](const exp::ArgParser& args) {
-    if (args.get_flag("help")) {
-      std::cout << "options: [--csv] [--requests N] [--seed S] [--jobs N] "
-                   "[--out FILE]\n";
-      std::exit(0);
-    }
-    opts.csv = args.get_flag("csv");
-    opts.num_requests = args.get_size("requests", opts.num_requests);
-    opts.seed = args.get_u64("seed", opts.seed);
-    opts.jobs = args.get_jobs("jobs");
-    out_path = args.get_string("out", out_path);
-  });
-  return opts;
 }
 
 /// exp::sweep options for a bench grid: worker count from --jobs, no

@@ -1,8 +1,9 @@
 // Byte pins of `figures`, the binary that prints the paper's figures and
-// the ablation and extension studies. Each figure's stdout at --requests 6000
-// (ext_air_indexing and ext_closed_loop, which record no trace, at their
-// defaults) is compared against tests/golden/figures/<name>.txt, at
-// --jobs 3 so the pins also hold the grid fan-out to the serial numbers;
+// the ablation, extension and degradation studies. Each figure's stdout at
+// --requests 6000 (the fixed-size ext_air_indexing, ext_closed_loop,
+// serve_qps and serve_chaos at their defaults) is compared against
+// tests/golden/figures/<name>.txt, at --jobs 3 so the pins also hold the
+// grid fan-out to the serial numbers;
 // the all-figures run must print the goldens in index order; and the
 // inputs no figure can run must exit 1 with a message. On a mismatch the
 // actual bytes are written next to the test binary (<name>.txt.actual).
@@ -69,8 +70,10 @@ std::vector<std::string> figure_names() {
   return names;
 }
 
-bool records_no_trace(const std::string& name) {
-  return name == "ext_air_indexing" || name == "ext_closed_loop";
+/// The figures that read no --requests.
+bool fixed_size(const std::string& name) {
+  return name == "ext_air_indexing" || name == "ext_closed_loop" ||
+         name == "serve_qps" || name == "serve_chaos";
 }
 
 void expect_golden(const std::string& actual, const std::string& name) {
@@ -103,7 +106,10 @@ TEST(Figures, TableListsTheGoldensInIndexOrder) {
       "abl_aging",              "ext_adaptive_drift",
       "ext_multichannel",       "ext_client_cache",
       "ext_uplink_contention",  "ext_air_indexing",
-      "ext_burstiness",         "ext_closed_loop"};
+      "ext_burstiness",         "ext_closed_loop",
+      "fault_degradation",      "chaos_resilience",
+      "serve_qps",              "serve_chaos",
+      "scenario_sweep"};
   EXPECT_EQ(figure_names(), index_order);
   std::set<std::string> goldens;
   for (const auto& entry : std::filesystem::directory_iterator(kGoldenDir)) {
@@ -116,7 +122,7 @@ TEST(Figures, TableListsTheGoldensInIndexOrder) {
 TEST(Figures, EachFigureMatchesItsGoldenAtJobs3) {
   for (const std::string& name : figure_names()) {
     const std::string args =
-        name + (records_no_trace(name) ? "" : " --requests 6000") +
+        name + (fixed_size(name) ? "" : " --requests 6000") +
         " --jobs 3";
     const Output out = run_figures(args, false);
     EXPECT_EQ(out.exit_code, 0) << args;
@@ -155,6 +161,9 @@ TEST(Figures, RejectsFlagsTheFigureDoesNotRead) {
                "unknown option --requests (");
   expect_error("ext_closed_loop --requests 2000",
                "unknown option --requests (");
+  expect_error("serve_qps --requests 2000", "unknown option --requests (");
+  expect_error("serve_chaos --duration 60", "unknown option --duration (");
+  expect_error("chaos_resilience --out x", "unknown option --out (");
   expect_error("fig4_delay_alpha1 --requests 2000 --bogus 1",
                "unknown option --bogus (");
   expect_error("fig4_delay_alpha1 --requests 2000 --out x",
