@@ -290,17 +290,56 @@ TEST(FaultInjection, PrioritySheddingProtectsHighPriorityClass) {
 }
 
 TEST(FaultInjection, ShedCountMonotoneInOfferedLoad) {
-  std::uint64_t previous = 0;
-  for (const double rate : {2.0, 5.0, 10.0}) {
-    auto scenario = small_scenario();
-    scenario.arrival_rate = rate;
-    const auto built = scenario.build();
+  struct Input {
+    exp::Scenario scenario;
+    std::size_t queue_capacity;
+    std::vector<double> rates;
+  };
+  // A small catalog behind a queue of 4, and the fault_degradation figure's
+  // load sweep at its default size and seed: the §5.1 scenario, 60,000
+  // requests, behind a drop-tail queue of 8.
+  exp::Scenario paper;
+  paper.num_requests = 60000;
+  const Input inputs[] = {{small_scenario(), 4, {2.0, 5.0, 10.0}},
+                          {paper, 8, {2.0, 4.0, 6.0, 8.0, 10.0}}};
+  for (const Input& input : inputs) {
+    std::uint64_t previous = 0;
+    for (const double rate : input.rates) {
+      auto scenario = input.scenario;
+      scenario.arrival_rate = rate;
+      const auto built = scenario.build();
+      core::HybridConfig config;
+      config.cutoff = 0;
+      config.fault.queue_capacity = input.queue_capacity;
+      const auto result = exp::run_hybrid(built, config);
+      EXPECT_GE(result.overall().shed, previous)
+          << "queue " << input.queue_capacity << ", rate " << rate;
+      previous = result.overall().shed;
+    }
+  }
+}
+
+// The fault_degradation figure's channel sweep at its default size and
+// seed: the §5.1 scenario, 60,000 requests, K = 40, recovery probability
+// 0.30, 75% corruption in the bad state, up to 3 retries. Mean delay stays
+// ordered A < B < C at every good→bad probability up to 0.40. The order is
+// a large-sample result: at 6,000 requests A and B cross at 0.40.
+TEST(FaultInjection, ClassDelayOrderSurvivesBurstErrors) {
+  exp::Scenario scenario;
+  scenario.num_requests = 60000;
+  const auto built = scenario.build();
+  for (const double p_gb : {0.0, 0.02, 0.05, 0.10, 0.20, 0.40}) {
     core::HybridConfig config;
-    config.cutoff = 0;
-    config.fault.queue_capacity = 4;
+    config.cutoff = 40;
+    config.fault.enabled = true;
+    config.fault.channel.p_good_to_bad = p_gb;
+    config.fault.channel.p_bad_to_good = 0.30;
+    config.fault.channel.corrupt_good = 0.0;
+    config.fault.channel.corrupt_bad = 0.75;
+    config.fault.retry.max_retries = 3;
     const auto result = exp::run_hybrid(built, config);
-    EXPECT_GE(result.overall().shed, previous);
-    previous = result.overall().shed;
+    EXPECT_LT(result.mean_wait(0), result.mean_wait(1)) << "p_gb " << p_gb;
+    EXPECT_LT(result.mean_wait(1), result.mean_wait(2)) << "p_gb " << p_gb;
   }
 }
 

@@ -109,20 +109,33 @@ TEST(Replication, BlockingMetricTracked) {
 }
 
 TEST(Replication, ParallelIsBitIdenticalToSerial) {
-  Scenario scenario;
-  scenario.num_requests = 2000;
-  core::HybridConfig config;
-  config.cutoff = 30;
+  struct Input {
+    std::size_t requests;
+    std::size_t reps;
+    std::size_t jobs;
+  };
+  // 8 replications of 2,000 requests on 8 workers, and 20 of 8,000 on 4,
+  // both at K = 30, α = 0.5.
+  for (const Input& input : {Input{2000, 8, 8}, Input{8000, 20, 4}}) {
+    SCOPED_TRACE(std::to_string(input.reps) + " x " +
+                 std::to_string(input.requests) + " requests");
+    Scenario scenario;
+    scenario.num_requests = input.requests;
+    core::HybridConfig config;
+    config.cutoff = 30;
 
-  ReplicateOptions serial_opts;
-  serial_opts.jobs = 1;
-  const auto serial = replicate_hybrid(scenario, config, 8, serial_opts);
+    ReplicateOptions serial_opts;
+    serial_opts.jobs = 1;
+    const auto serial =
+        replicate_hybrid(scenario, config, input.reps, serial_opts);
 
-  ReplicateOptions parallel_opts;
-  parallel_opts.jobs = 8;
-  const auto parallel = replicate_hybrid(scenario, config, 8, parallel_opts);
+    ReplicateOptions parallel_opts;
+    parallel_opts.jobs = input.jobs;
+    const auto parallel =
+        replicate_hybrid(scenario, config, input.reps, parallel_opts);
 
-  expect_identical(serial, parallel);
+    expect_identical(serial, parallel);
+  }
 }
 
 TEST(Replication, AutoJobsMatchesSerialToo) {

@@ -386,6 +386,37 @@ TEST(CrashRecovery, DrainDuringAStormKeepsTheLedger) {
   }
 }
 
+// The chaos_resilience figure's grid at its default size and seed: the
+// §5.1 scenario at offered load 8, 60,000 requests, K = 20, cold recovery
+// after 30 units down. A higher crash rate only shortens the same stream's
+// inter-crash gaps, so with the ladder off and on alike the crash count
+// never falls as the rate rises.
+TEST(CrashRecovery, CrashCountNeverFallsAsTheRateRises) {
+  exp::Scenario scenario;
+  scenario.num_requests = 60000;
+  scenario.arrival_rate = 8.0;
+  const auto built = scenario.build();
+  for (const bool ladder : {false, true}) {
+    std::uint64_t previous = 0;
+    for (const double rate : {0.0, 0.002, 0.005, 0.01, 0.02}) {
+      core::HybridConfig config;
+      config.cutoff = 20;
+      config.resilience.crash.enabled = rate > 0.0;
+      config.resilience.crash.rate = rate;
+      config.resilience.crash.downtime = 30.0;
+      config.resilience.crash.recovery = resilience::RecoveryMode::kCold;
+      config.resilience.overload.enabled = ladder;
+      config.resilience.overload.eval_interval = 5.0;
+      config.resilience.overload.capacity_ref = 32;
+      const auto result = exp::run_hybrid(built, config);
+      EXPECT_GE(result.crashes, previous)
+          << "rate " << rate << ", ladder " << ladder;
+      previous = result.crashes;
+    }
+    EXPECT_GT(previous, 0u) << "ladder " << ladder;
+  }
+}
+
 TEST(DegradationLadder, EngagesUnderPressureAndKeepsConservation) {
   auto scenario = small_scenario();
   scenario.arrival_rate = 12.0;

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.hpp"
@@ -374,20 +375,30 @@ TEST(ExpScenario, ValidateRejectsBadIntensity) {
   EXPECT_THROW(s.validate(), std::invalid_argument);
 }
 
-exp::ChaosSummary chaos_run(Preset preset, std::size_t jobs,
-                            double gap_bound = 0.0) {
-  auto s = scenario_with(preset);
-  s.jobs = jobs;
+/// Crashes at rate 0.005, each `downtime` long, under cutoff K.
+core::HybridConfig crashing(std::size_t cutoff, double downtime) {
   core::HybridConfig config;
-  config.cutoff = 10;
+  config.cutoff = cutoff;
   config.resilience.crash.enabled = true;
   config.resilience.crash.rate = 0.005;
-  config.resilience.crash.downtime = 15.0;
+  config.resilience.crash.downtime = downtime;
+  return config;
+}
+
+/// Four chaos replications of `s` on `jobs` workers.
+exp::ChaosSummary chaos_run(exp::Scenario s, const core::HybridConfig& config,
+                            std::size_t jobs, double gap_bound = 0.0) {
+  s.jobs = jobs;
   exp::ChaosOptions options;
   options.replications = 4;
   options.jobs = jobs;
   options.gap_bound = gap_bound;
   return exp::run_chaos(s, config, options);
+}
+
+exp::ChaosSummary chaos_run(Preset preset, std::size_t jobs,
+                            double gap_bound = 0.0) {
+  return chaos_run(scenario_with(preset), crashing(10, 15.0), jobs, gap_bound);
 }
 
 TEST(ChaosScenario, HandoffConservationInvariantIsCheckedAndPasses) {
@@ -416,21 +427,55 @@ TEST(ChaosScenario, GapBoundInvariantIsEmittedWhenRequested) {
   EXPECT_TRUE(saw_gap_check);
 }
 
+/// Every pooled number of two chaos runs, compared bit for bit.
+void expect_identical(const exp::ChaosSummary& a, const exp::ChaosSummary& b) {
+  EXPECT_EQ(a.crashes, b.crashes);
+  EXPECT_EQ(a.handoff_rehomed, b.handoff_rehomed);
+  EXPECT_EQ(a.handoff_lost, b.handoff_lost);
+  EXPECT_EQ(a.total_downtime, b.total_downtime);
+  EXPECT_EQ(a.overall_delay.mean(), b.overall_delay.mean());
+  EXPECT_EQ(a.overall_delay.variance(), b.overall_delay.variance());
+  EXPECT_EQ(a.total_cost.mean(), b.total_cost.mean());
+  EXPECT_EQ(a.goodput.mean(), b.goodput.mean());
+  ASSERT_EQ(a.per_class.size(), b.per_class.size());
+  for (std::size_t c = 0; c < a.per_class.size(); ++c) {
+    const auto& x = a.per_class[c];
+    const auto& y = b.per_class[c];
+    EXPECT_EQ(x.arrived, y.arrived) << "class " << c;
+    EXPECT_EQ(x.served, y.served) << "class " << c;
+    EXPECT_EQ(x.blocked, y.blocked) << "class " << c;
+    EXPECT_EQ(x.abandoned, y.abandoned) << "class " << c;
+    EXPECT_EQ(x.wait.mean(), y.wait.mean()) << "class " << c;
+    EXPECT_EQ(x.gap.count(), y.gap.count()) << "class " << c;
+    EXPECT_EQ(x.gap.mean(), y.gap.mean()) << "class " << c;
+    EXPECT_EQ(x.gap.max(), y.gap.max()) << "class " << c;
+  }
+}
+
 TEST(ChaosScenario, JobsCountNeverChangesTheNumbers) {
-  const auto serial = chaos_run(Preset::kKitchenSink, 1);
-  const auto parallel = chaos_run(Preset::kKitchenSink, 2);
-  EXPECT_EQ(serial.crashes, parallel.crashes);
-  EXPECT_EQ(serial.handoff_rehomed, parallel.handoff_rehomed);
-  EXPECT_EQ(serial.handoff_lost, parallel.handoff_lost);
-  EXPECT_EQ(serial.overall_delay.mean(), parallel.overall_delay.mean());
-  EXPECT_EQ(serial.total_cost.mean(), parallel.total_cost.mean());
-  ASSERT_EQ(serial.per_class.size(), parallel.per_class.size());
-  for (std::size_t c = 0; c < serial.per_class.size(); ++c) {
-    EXPECT_EQ(serial.per_class[c].arrived, parallel.per_class[c].arrived);
-    EXPECT_EQ(serial.per_class[c].served, parallel.per_class[c].served);
-    EXPECT_EQ(serial.per_class[c].gap.count(), parallel.per_class[c].gap.count());
-    EXPECT_EQ(serial.per_class[c].gap.mean(), parallel.per_class[c].gap.mean());
-    EXPECT_EQ(serial.per_class[c].gap.max(), parallel.per_class[c].gap.max());
+  // The small kitchen sink of chaos_run, and the §5.1 catalog at 8,000
+  // requests with K = 20 and downtime 20: at 1, 2 and 8 workers every
+  // pooled number is bit-identical, the invariant suite passes and every
+  // replication replays identically.
+  exp::Scenario paper;
+  paper.num_requests = 8000;
+  paper.preset = Preset::kKitchenSink;
+  const std::pair<exp::Scenario, core::HybridConfig> inputs[] = {
+      {scenario_with(Preset::kKitchenSink), crashing(10, 15.0)},
+      {paper, crashing(20, 20.0)}};
+  for (const auto& [scenario, config] : inputs) {
+    SCOPED_TRACE(std::to_string(scenario.num_requests) + " requests");
+    const auto serial = chaos_run(scenario, config, 1);
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{8}}) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs));
+      const auto summary =
+          jobs == 1 ? serial : chaos_run(scenario, config, jobs);
+      expect_identical(serial, summary);
+      EXPECT_TRUE(summary.invariants.all_pass())
+          << resilience::format_report(summary.invariants);
+      EXPECT_TRUE(summary.replay_identical);
+    }
   }
 }
 

@@ -361,31 +361,50 @@ TEST(Replay, RoundTripIsByteIdenticalAndJobsInvariant) {
 }
 
 TEST(Replay, RepZeroReproducesTheLiveRun) {
-  const ServeConfig config = small_config();
-  const auto cat = config.build_catalog();
-  const auto pop = config.build_population();
-  LoadDriver driver(cat, pop, config.target_qps, config.duration,
-                    config.seed);
-  std::ostringstream trace;
-  ServeReport live;
-  {
-    TraceRecorder recorder(trace, config);
-    LiveServer server(cat, pop, config);
-    live = server.run_accelerated(driver, &recorder);
+  // small_config, and the serve_qps figure's sweep at its default seed:
+  // 300 broadcast units at loads 2, 5, 8, 12 and 20.
+  std::vector<ServeConfig> configs = {small_config()};
+  for (const double qps : {2.0, 5.0, 8.0, 12.0, 20.0}) {
+    ServeConfig config;
+    config.accelerated = true;
+    config.duration = 300.0;
+    config.target_qps = qps;
+    configs.push_back(config);
   }
-  std::istringstream in(trace.str());
-  const RecordedRun run = load_trace(in);
-  EXPECT_EQ(run.requests.size(), live.arrivals);
+  for (const ServeConfig& config : configs) {
+    SCOPED_TRACE("target qps " + std::to_string(config.target_qps));
+    const auto cat = config.build_catalog();
+    const auto pop = config.build_population();
+    LoadDriver driver(cat, pop, config.target_qps, config.duration,
+                      config.seed);
+    std::ostringstream trace;
+    ServeReport live;
+    {
+      TraceRecorder recorder(trace, config);
+      LiveServer server(cat, pop, config);
+      live = server.run_accelerated(driver, &recorder);
+    }
+    std::istringstream in(trace.str());
+    const RecordedRun run = load_trace(in);
+    EXPECT_EQ(run.requests.size(), live.arrivals);
 
-  const auto results = replay(run);
-  ASSERT_EQ(results.size(), 1u);
-  const core::SimResult& sim = results.front();
-  EXPECT_EQ(sim.end_time, live.end_time);
-  EXPECT_EQ(sim.push_transmissions, live.push_transmissions);
-  EXPECT_EQ(sim.pull_transmissions, live.pull_transmissions);
-  EXPECT_EQ(sim.mean_pull_queue_len, live.mean_pull_queue_len);
-  for (std::size_t i = 0; i < live.per_class.size(); ++i) {
-    EXPECT_EQ(sim.per_class[i].wait.mean(), live.per_class[i].wait.mean());
+    const auto results = replay(run);
+    ASSERT_EQ(results.size(), 1u);
+    const core::SimResult& sim = results.front();
+    EXPECT_EQ(sim.end_time, live.end_time);
+    EXPECT_EQ(sim.push_transmissions, live.push_transmissions);
+    EXPECT_EQ(sim.pull_transmissions, live.pull_transmissions);
+    EXPECT_EQ(sim.mean_pull_queue_len, live.mean_pull_queue_len);
+    EXPECT_EQ(sim.max_pull_queue_len, live.max_pull_queue_len);
+    ASSERT_EQ(sim.per_class.size(), live.per_class.size());
+    for (std::size_t i = 0; i < live.per_class.size(); ++i) {
+      const auto& a = live.per_class[i];
+      const auto& b = sim.per_class[i];
+      EXPECT_EQ(b.arrived, a.arrived) << "class " << i;
+      EXPECT_EQ(b.served, a.served) << "class " << i;
+      EXPECT_EQ(b.wait.count(), a.wait.count()) << "class " << i;
+      EXPECT_EQ(b.wait.mean(), a.wait.mean()) << "class " << i;
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -253,6 +254,45 @@ TEST(LiveLadder, TransitionsAreOrderedAndJournaled) {
   }
   EXPECT_NE(run.trace.find("\"d\":\"ladder\""), std::string::npos);
   EXPECT_TRUE(run.report.ledger.balanced());
+}
+
+// The serve_chaos figure's sweep at its default seed: 200 broadcast units
+// per load under uniform deadlines (mean 6), the burst-error channel with
+// retries, a drop-lowest-priority queue of 32 and the ladder. No class
+// fails a larger share of its arrivals than the class below it, compared
+// exactly by cross-multiplication. Failures are totals, not timeouts
+// alone: the ladder turns low-class timeouts into sheds and rejections on
+// purpose.
+TEST(LiveLadder, NoClassFailsMoreOftenThanTheClassBelow) {
+  for (const double qps : {4.0, 8.0, 14.0, 22.0}) {
+    ServeConfig c;
+    c.accelerated = true;
+    c.duration = 200.0;
+    c.target_qps = qps;
+    c.mean_deadline = 6.0;
+    c.fault.enabled = true;
+    c.fault.channel.p_good_to_bad = 0.05;
+    c.fault.channel.p_bad_to_good = 0.25;
+    c.fault.channel.corrupt_bad = 0.6;
+    c.fault.channel.corrupt_good = 0.01;
+    c.fault.queue_capacity = 32;
+    c.fault.shed_policy = fault::ShedPolicy::kDropLowestPriority;
+    c.overload.enabled = true;
+    const ServeReport r = run_plain(c);
+    ASSERT_EQ(r.per_class.size(), 3u);
+    for (std::size_t cls = 0; cls + 1 < r.per_class.size(); ++cls) {
+      const auto& hi = r.per_class[cls];
+      const auto& lo = r.per_class[cls + 1];
+      ASSERT_GT(hi.arrived, 0u);
+      ASSERT_GT(lo.arrived, 0u);
+      const std::uint64_t hi_failed =
+          hi.abandoned + hi.shed + hi.rejected + hi.lost;
+      const std::uint64_t lo_failed =
+          lo.abandoned + lo.shed + lo.rejected + lo.lost;
+      EXPECT_LE(hi_failed * lo.arrived, lo_failed * hi.arrived)
+          << "qps " << qps << ", classes " << cls << " and " << cls + 1;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
