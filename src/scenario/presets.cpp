@@ -112,8 +112,8 @@ Timeline make_timeline(Preset preset, double intensity, double horizon,
       // Quiet baseline, then a crowd arrives: the rate ramps to 1 + 3i and
       // the hot set jumps half the catalog at the same instant — exactly
       // the shift that leaves a statically-tuned cutoff serving yesterday's
-      // prefix (the adaptive re-optimizer's showcase, gated in
-      // bench/scenario_sweep).
+      // prefix (the adaptive re-optimizer's showcase, gated by
+      // AdaptiveServer.BeatsStaticCutoffUnderFlashcrowd).
       const double peak = 1.0 + 3.0 * intensity;
       b.segment(0.4 * h, 1.0, 1.0, 0, 0.0);
       b.segment(0.1 * h, 1.0, peak, b.turn(1, 2), 0.0);

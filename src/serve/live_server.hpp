@@ -76,8 +76,8 @@ struct ServeReport {
 /// Deterministic multi-line rendering (obs::render_number throughout): a
 /// summary JSON line, then one line per class with mean/p50/p95/p99 wait.
 /// Robustness fields are appended only for robust configs, so plain runs
-/// render byte-identically to previous releases. Shared by the CLI,
-/// bench/serve_qps, bench/serve_chaos and the reproducibility tests.
+/// render byte-identically to previous releases. Shared by the CLI and the
+/// reproducibility tests.
 [[nodiscard]] std::string render_serve_report(const ServeReport& report);
 
 /// The live serving driver around core::HybridServer (DESIGN §9). The

@@ -2,16 +2,16 @@
 // closed-loop arrival source and dedicated channel layout.
 //
 // A grid of configurations covering every caller of these three engine
-// configurations (the ext_adaptive_drift epochs, the scenario_sweep
-// flashcrowd gate, the ext_closed_loop and ext_multichannel rows, the
-// edge cutoffs and empty traces) is run and digested into text: every
-// ClassStats Welford and P² field as a hex float, every counter, the
-// transmission counts, the end time, the re-optimization count and cutoff
-// history, the per-channel utilization and the closed-loop throughput. The
-// digest and the stdout of `pushpull adaptive`, `multichannel` and
-// `closedloop` are byte-compared against tests/golden/servers/. On a
-// mismatch the actual bytes are written next to the test binary
-// (<golden>.actual) for diffing.
+// configurations (the ext_adaptive_drift epochs, the flash crowd of
+// AdaptiveServer's static-cutoff gate, the ext_closed_loop and
+// ext_multichannel rows, the edge cutoffs and empty traces) is run and
+// digested into text: every ClassStats Welford and P² field as a hex
+// float, every counter, the transmission counts, the end time, the
+// re-optimization count and cutoff history, the per-channel utilization
+// and the closed-loop throughput. The digest and the stdout of `pushpull
+// adaptive`, `multichannel` and `closedloop` are byte-compared against
+// tests/golden/servers/. On a mismatch the actual bytes are written next
+// to the test binary (<golden>.actual) for diffing.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -191,7 +191,7 @@ std::string server_digest() {
     digest_adaptive(out, "drift-" + hex(epoch), w, w.trace,
                     {30, 0.5, 100.0, 150.0});
   }
-  // The scenario_sweep flashcrowd gate.
+  // The flash crowd of AdaptiveServer.BeatsStaticCutoffUnderFlashcrowd.
   {
     exp::Scenario s;
     s.theta = 1.0;
