@@ -22,18 +22,14 @@ int main() {
   config.alpha = 0.5;
 
   // 1) Replications: serial vs all-cores, same numbers either way.
-  exp::ReplicateOptions serial_opts;
-  serial_opts.jobs = 1;
+  scenario.jobs = 1;
   const runtime::StopWatch serial_watch;
-  const auto serial = exp::replicate_hybrid(scenario, config, 12,
-                                            serial_opts);
+  const auto serial = exp::replicate_hybrid(scenario, config, 12);
   const double serial_ms = serial_watch.elapsed_ms();
 
-  exp::ReplicateOptions parallel_opts;
-  parallel_opts.jobs = 0;  // one worker per hardware thread
+  scenario.jobs = 0;  // one worker per hardware thread
   const runtime::StopWatch parallel_watch;
-  const auto parallel = exp::replicate_hybrid(scenario, config, 12,
-                                              parallel_opts);
+  const auto parallel = exp::replicate_hybrid(scenario, config, 12);
   const double parallel_ms = parallel_watch.elapsed_ms();
 
   std::cout << "replicate x12: serial " << serial_ms << " ms, parallel "

@@ -5,7 +5,8 @@
 namespace pushpull::core {
 
 CutoffScan scan_cutoffs(std::size_t k_min, std::size_t k_max, std::size_t step,
-                        const std::function<double(std::size_t)>& cost) {
+                        const std::function<double(std::size_t)>& cost,
+                        const obs::Tracer& tracer) {
   if (k_min > k_max) {
     throw std::invalid_argument("scan_cutoffs: k_min > k_max");
   }
@@ -24,21 +25,12 @@ CutoffScan scan_cutoffs(std::size_t k_min, std::size_t k_max, std::size_t step,
   scan.best_cutoff = scan.curve.front().cutoff;
   scan.best_cost = scan.curve.front().cost;
   for (const auto& sample : scan.curve) {
+    tracer.emit<obs::Category::kCutoff>(0.0, "sample", sample.cutoff, 0,
+                                        sample.cost);
     if (sample.cost < scan.best_cost) {
       scan.best_cost = sample.cost;
       scan.best_cutoff = sample.cutoff;
     }
-  }
-  return scan;
-}
-
-CutoffScan scan_cutoffs(std::size_t k_min, std::size_t k_max, std::size_t step,
-                        const std::function<double(std::size_t)>& cost,
-                        const obs::Tracer& tracer) {
-  const CutoffScan scan = scan_cutoffs(k_min, k_max, step, cost);
-  for (const auto& sample : scan.curve) {
-    tracer.emit<obs::Category::kCutoff>(0.0, "sample", sample.cutoff, 0,
-                                        sample.cost);
   }
   tracer.emit<obs::Category::kCutoff>(0.0, "best", scan.best_cutoff, 0,
                                       scan.best_cost);

@@ -29,16 +29,14 @@ struct CutoffScan {
 /// which minimizes the overall access time"): the cost functional is
 /// pluggable — mean access time, total prioritized cost, or the analytical
 /// Eq. 19 estimate — so the same scan drives Figs. 5–7.
+///
+/// Each evaluated point emits a cutoff-category "sample" trace event (a=k,
+/// v=cost) and the minimizer a final "best" event; the default tracer is
+/// inert. Tracing never changes the scan. Sim time is 0: the optimizer runs
+/// between simulations, outside any virtual clock.
 [[nodiscard]] CutoffScan scan_cutoffs(
     std::size_t k_min, std::size_t k_max, std::size_t step,
-    const std::function<double(std::size_t)>& cost);
-
-/// Same scan, but each evaluated point emits a cutoff-category "sample"
-/// trace event (a=k, v=cost) and the minimizer a final "best" event. The
-/// scan itself is byte-for-byte the untraced overload. Sim time is 0: the
-/// optimizer runs between simulations, outside any virtual clock.
-[[nodiscard]] CutoffScan scan_cutoffs(
-    std::size_t k_min, std::size_t k_max, std::size_t step,
-    const std::function<double(std::size_t)>& cost, const obs::Tracer& tracer);
+    const std::function<double(std::size_t)>& cost,
+    const obs::Tracer& tracer = {});
 
 }  // namespace pushpull::core

@@ -251,13 +251,8 @@ void HybridServer::on_patience_expired(const workload::Request& request) {
 
 bool HybridServer::transmission_corrupted() {
   if (!channel_.has_value()) return false;
-  if (trace_.enabled()) {
-    // Traced draw: identical engine consumption, plus state-flip events
-    // and, when observed, the flip counter.
-    return channel_->corrupts(trace_, sim_.now(),
-                              obs_ ? &obs_->counters.fault_flips : nullptr);
-  }
-  return channel_->corrupts();
+  return channel_->corrupts(trace_, sim_.now(),
+                            obs_ ? &obs_->counters.fault_flips : nullptr);
 }
 
 void HybridServer::shed_request(const workload::Request& request) {

@@ -5,10 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "exp/sweep.hpp"
 #include "metrics/float_compare.hpp"
 #include "rng/splitmix64.hpp"
 #include "runtime/checkpoint.hpp"
-#include "runtime/runtime.hpp"
 
 namespace pushpull::exp {
 
@@ -173,27 +173,10 @@ ChaosSummary run_chaos(const Scenario& scenario,
   }
   scenario.validate();
   config.resilience.validate();
-  std::size_t jobs = options.jobs == 0
-                         ? runtime::ThreadPool::default_concurrency()
-                         : options.jobs;
-  jobs = std::min(jobs, options.replications);
-
-  const runtime::StopWatch watch;
-  if (options.reporter) {
-    options.reporter->run_started("chaos", options.replications, jobs);
-  }
-  auto job = [&](std::size_t rep) {
-    return run_one(scenario, config, options, rep);
-  };
-  std::vector<ChaosPartial> partials;
-  if (jobs <= 1) {
-    partials = runtime::serial_map(options.replications, job, options.reporter);
-  } else {
-    runtime::ThreadPool pool(jobs);
-    partials =
-        runtime::parallel_map(pool, options.replications, job,
-                              options.reporter);
-  }
+  const std::vector<ChaosPartial> partials = sweep(
+      options.replications,
+      [&](std::size_t rep) { return run_one(scenario, config, options, rep); },
+      {.jobs = scenario.jobs, .reporter = options.reporter, .label = "chaos"});
 
   // Merge strictly in replication-index order.
   ChaosSummary summary;
@@ -235,11 +218,6 @@ ChaosSummary run_chaos(const Scenario& scenario,
         summary.replay_identical
             ? "replication 0 reran identically"
             : "replication 0 diverged on rerun — nondeterminism"});
-  }
-
-  if (options.reporter) {
-    options.reporter->run_finished("chaos", options.replications,
-                                   watch.elapsed_ms());
   }
   return summary;
 }

@@ -22,10 +22,6 @@ namespace pushpull::exp {
 /// channel, plus an arrival-rate spike — replicated N times from one seed.
 struct ChaosOptions {
   std::size_t replications = 8;
-  /// 1 = serial, 0 = one worker per hardware thread, N = N workers. Never
-  /// changes the numbers: seeds derive from the replication index and
-  /// results merge in index order.
-  std::size_t jobs = 1;
   /// Arrival-rate spike: arrivals inside [spike_start, spike_start +
   /// spike_duration) are compressed in time by `spike_factor` (a
   /// deterministic time-warp of the recorded trace — no extra RNG draws),
@@ -91,7 +87,10 @@ struct ChaosSummary {
 
 /// Runs the chaos harness: `options.replications` independent replications
 /// of (scenario, config) with the spike applied, pooling results and
-/// running the invariant suite on every replication.
+/// running the invariant suite on every replication. The replications fan
+/// out through exp::sweep (label "chaos") on `scenario.jobs` workers; the
+/// numbers never depend on it, since seeds derive from the replication
+/// index and results merge in index order.
 [[nodiscard]] ChaosSummary run_chaos(const Scenario& scenario,
                                      const core::HybridConfig& config,
                                      const ChaosOptions& options);

@@ -1,15 +1,14 @@
 #include "exp/replication.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "exp/sweep.hpp"
 #include "obs/export.hpp"
 #include "rng/splitmix64.hpp"
-#include "runtime/runtime.hpp"
 
 namespace pushpull::exp {
 
@@ -249,24 +248,11 @@ std::uint64_t replication_fingerprint(const Scenario& scenario,
 
 ReplicationSummary replicate_hybrid(const Scenario& scenario,
                                     const core::HybridConfig& config,
-                                    std::size_t replications) {
-  ReplicateOptions options;
-  options.jobs = scenario.jobs;
-  return replicate_hybrid(scenario, config, replications, options);
-}
-
-ReplicationSummary replicate_hybrid(const Scenario& scenario,
-                                    const core::HybridConfig& config,
                                     std::size_t replications,
                                     const ReplicateOptions& options) {
   if (replications == 0) {
     throw std::invalid_argument("replicate_hybrid: need >= 1 replication");
   }
-  std::size_t jobs = options.jobs == 0
-                         ? runtime::ThreadPool::default_concurrency()
-                         : options.jobs;
-  jobs = std::min(jobs, replications);
-
   const std::uint64_t fingerprint =
       (options.reporter != nullptr || options.resume != nullptr)
           ? replication_fingerprint(scenario, config, replications)
@@ -276,39 +262,33 @@ ReplicationSummary replicate_hybrid(const Scenario& scenario,
     // without a context record (pre-versioning) is accepted unchecked.
     options.resume->require(kReplicationSchema, fingerprint);
   }
-
-  const runtime::StopWatch watch;
   if (options.reporter) {
-    options.reporter->run_started("replicate", replications, jobs);
     options.reporter->run_context(kReplicationSchema, fingerprint);
   }
   const bool tracing = options.obs.enabled;
-  auto job = [&](std::size_t rep) {
-    if (options.resume) {
-      if (const std::string* payload = options.resume->find(rep)) {
-        RepPartial restored =  // done pre-crash
-            parse_partial(*payload, scenario.num_classes);
-        // A payload written without tracing cannot contribute a trace
-        // chunk; recompute the replication (deterministic, so the stats
-        // are bit-identical to the restored ones) instead of emitting a
-        // merged trace with a silent hole.
-        if (!tracing || !restored.obs_chunk.empty()) return restored;
-      }
-    }
-    RepPartial partial = run_one(scenario, config, options.obs, rep);
-    if (options.reporter) {
-      options.reporter->job_payload(rep, serialize_partial(partial));
-    }
-    return partial;
-  };
-  std::vector<RepPartial> partials;
-  if (jobs <= 1) {
-    partials = runtime::serial_map(replications, job, options.reporter);
-  } else {
-    runtime::ThreadPool pool(jobs);
-    partials = runtime::parallel_map(pool, replications, job,
-                                     options.reporter);
-  }
+  const std::vector<RepPartial> partials = sweep(
+      replications,
+      [&](std::size_t rep) {
+        if (options.resume) {
+          if (const std::string* payload = options.resume->find(rep)) {
+            RepPartial restored =  // done pre-crash
+                parse_partial(*payload, scenario.num_classes);
+            // A payload written without tracing cannot contribute a trace
+            // chunk; recompute the replication (deterministic, so the
+            // stats are bit-identical to the restored ones) instead of
+            // emitting a merged trace with a silent hole.
+            if (!tracing || !restored.obs_chunk.empty()) return restored;
+          }
+        }
+        RepPartial partial = run_one(scenario, config, options.obs, rep);
+        if (options.reporter) {
+          options.reporter->job_payload(rep, serialize_partial(partial));
+        }
+        return partial;
+      },
+      {.jobs = scenario.jobs,
+       .reporter = options.reporter,
+       .label = "replicate"});
 
   // Merge in replication-index order — never completion order.
   ReplicationSummary summary;
@@ -336,10 +316,6 @@ ReplicationSummary replicate_hybrid(const Scenario& scenario,
       *options.trace_out << partial.obs_chunk;
     }
     options.trace_out->flush();
-  }
-  if (options.reporter) {
-    options.reporter->run_finished("replicate", replications,
-                                   watch.elapsed_ms());
   }
   return summary;
 }

@@ -49,14 +49,13 @@ inline constexpr std::string_view kReplicationSchema = "rp1";
 
 /// Execution knobs for replicate_hybrid. None of them change the numbers —
 /// replications always derive their seeds from their replication index and
-/// merge in index order, so any `jobs` value produces the same summary.
+/// merge in index order, so the summary is the same for any worker count
+/// (`Scenario::jobs`).
 struct ReplicateOptions {
-  /// 1 = run serially on the calling thread (legacy path), 0 = one worker
-  /// per hardware thread, N = N workers (clamped to the replication count).
-  std::size_t jobs = 1;
   /// Optional JSONL progress sink (one line per finished replication); may
-  /// be null. When set, each replication also records a `payload` line with
-  /// its serialized partial, making a killed run resumable.
+  /// be null. When set, the file starts with a `context` record (schema +
+  /// replication_fingerprint) and each replication also records a `payload`
+  /// line with its serialized partial, making a killed run resumable.
   runtime::RunReporter* reporter = nullptr;
   /// Optional checkpoint loaded from a previous (killed) run's JSONL:
   /// replications with a stored payload are restored instead of recomputed.
@@ -83,14 +82,11 @@ struct ReplicateOptions {
 /// Runs `replications` independent copies of (scenario, config), varying
 /// both the workload seed and the server seed, and pools the results.
 /// This is how EXPERIMENTS.md distinguishes real effects from seed noise.
-/// Uses `scenario.jobs` worker threads (default 1 = serial).
+/// The replications fan out through exp::sweep (label "replicate") on
+/// `scenario.jobs` workers (default 1 = serial, 0 = one per hardware
+/// thread); `options` adds the progress sink, resume and tracing.
 [[nodiscard]] ReplicationSummary replicate_hybrid(
     const Scenario& scenario, const core::HybridConfig& config,
-    std::size_t replications);
-
-/// Same, with explicit execution options (worker count, progress sink).
-[[nodiscard]] ReplicationSummary replicate_hybrid(
-    const Scenario& scenario, const core::HybridConfig& config,
-    std::size_t replications, const ReplicateOptions& options);
+    std::size_t replications, const ReplicateOptions& options = {});
 
 }  // namespace pushpull::exp

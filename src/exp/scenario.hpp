@@ -34,11 +34,12 @@ struct Scenario {
   double mean_length = 2.0;
   std::uint64_t seed = 20050614;  // ICPP 2005 vintage
   std::size_t num_requests = 100000;
-  /// Worker threads for replication/sweep fan-out: 1 = legacy serial path
-  /// (the default — libraries opt in), 0 = hardware concurrency, N = N
-  /// threads. Results are bit-identical for every value; only wall time
-  /// changes (each replication/grid point keeps its index-derived seed and
-  /// results merge in job-index order).
+  /// Worker threads of the replication harnesses (exp::replicate_hybrid,
+  /// exp::run_chaos): 1 = serial on the calling thread (the default —
+  /// libraries opt in), 0 = hardware concurrency, N = N threads. Results
+  /// are bit-identical for every value; only wall time changes (each
+  /// replication keeps its index-derived seed and results merge in
+  /// replication-index order).
   std::size_t jobs = 1;
   /// Environment timeline applied to the recorded trace (kNone = the
   /// stationary workload, bit-identical to pre-scenario builds — shaping

@@ -28,12 +28,14 @@ struct SweepOptions {
 
 /// Evaluates `fn(i)` for every grid point i in [0, num_points) — each point
 /// typically one full simulation — and returns the results in grid order.
+/// It is the one fan-out of the experiment layer: the figures' grids and
+/// the replications of replicate_hybrid and run_chaos all run through it.
 ///
-/// The contract mirrors replicate_hybrid: `fn` must derive any randomness
-/// from its point index (not shared mutable state), may be invoked from
-/// multiple threads at once, and whatever it returns is collected by index,
-/// so a sweep's output is independent of `options.jobs`. Exceptions from a
-/// grid point abort the sweep with the lowest-indexed failure.
+/// `fn` must derive any randomness from its point index (not shared
+/// mutable state), may be invoked from multiple threads at once, and
+/// whatever it returns is collected by index, so a sweep's output is
+/// independent of `options.jobs`. Exceptions from a grid point abort the
+/// sweep with the lowest-indexed failure.
 template <typename Fn>
 [[nodiscard]] auto sweep(std::size_t num_points, Fn&& fn,
                          const SweepOptions& options = {})

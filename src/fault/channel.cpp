@@ -36,10 +36,12 @@ double ChannelConfig::mean_corruption() const noexcept {
   return (1.0 - bad) * corrupt_good + bad * corrupt_bad;
 }
 
-bool GilbertElliottChannel::corrupts() {
+bool GilbertElliottChannel::corrupts(const obs::Tracer& tracer, double now,
+                                     std::uint64_t* flips) {
   // One transition draw, then one corruption draw — exactly two engine
   // consumptions per transmission, so the channel's random stream is a pure
   // function of the transmission index.
+  const State before = state_;
   const double transition = rng::uniform01(engine_);
   if (state_ == State::kGood) {
     if (transition < config_.p_good_to_bad) state_ = State::kBad;
@@ -47,24 +49,17 @@ bool GilbertElliottChannel::corrupts() {
     if (transition < config_.p_bad_to_good) state_ = State::kGood;
   }
   ++transmissions_;
-  if (state_ == State::kBad) ++bad_transmissions_;
-  const double p =
-      state_ == State::kBad ? config_.corrupt_bad : config_.corrupt_good;
-  const bool corrupt = rng::uniform01(engine_) < p;
-  if (corrupt) ++corrupted_;
-  return corrupt;
-}
-
-bool GilbertElliottChannel::corrupts(const obs::Tracer& tracer, double now,
-                                     std::uint64_t* flips) {
-  const State before = state_;
-  const bool corrupt = corrupts();
   if (state_ != before) {
     if (flips != nullptr) ++*flips;
     tracer.emit<obs::Category::kFault>(
         now, state_ == State::kBad ? "channel_bad" : "channel_good",
         transmissions_);
   }
+  if (state_ == State::kBad) ++bad_transmissions_;
+  const double p =
+      state_ == State::kBad ? config_.corrupt_bad : config_.corrupt_good;
+  const bool corrupt = rng::uniform01(engine_) < p;
+  if (corrupt) ++corrupted_;
   return corrupt;
 }
 

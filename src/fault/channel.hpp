@@ -51,14 +51,12 @@ class GilbertElliottChannel {
       : config_(config), engine_(engine) {}
 
   /// Steps the state chain and draws one transmission's fate.
-  /// Returns true when the transmission is corrupted.
-  [[nodiscard]] bool corrupts();
-
-  /// Same draw (identical engine consumption — tracing never perturbs the
-  /// stream), but emits fault-category "channel_bad"/"channel_good" events
-  /// at sim time `now` when the chain changes state. `flips`, when
-  /// non-null, counts those state changes for the CounterSet.
-  [[nodiscard]] bool corrupts(const obs::Tracer& tracer, double now,
+  /// Returns true when the transmission is corrupted. When the chain
+  /// changes state it emits a fault-category "channel_bad"/"channel_good"
+  /// event at sim time `now` (the default tracer is inert; tracing never
+  /// perturbs the stream), and `flips`, when non-null, counts the change
+  /// for the CounterSet.
+  [[nodiscard]] bool corrupts(const obs::Tracer& tracer = {}, double now = 0.0,
                               std::uint64_t* flips = nullptr);
 
   [[nodiscard]] State state() const noexcept { return state_; }

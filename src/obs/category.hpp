@@ -7,8 +7,7 @@
 namespace pushpull::obs {
 
 /// Trace-event taxonomy. One bit per category so masks compose: the
-/// runtime gate (`ObsConfig::categories`) and the compile-time gate
-/// (`PUSHPULL_OBS_COMPILED_CATEGORIES`) are both plain bitmasks.
+/// runtime gate (`ObsConfig::categories`) is a plain bitmask.
 ///
 ///   push    broadcast-channel transmissions (tx_start/tx_end)
 ///   pull    on-demand transmissions, incl. bandwidth blocking
@@ -35,22 +34,8 @@ enum class Category : std::uint32_t {
 
 inline constexpr std::uint32_t kAllCategories = 0x3FFu;
 
-/// Compile-time category mask: categories outside the mask compile to
-/// nothing at every emission site (the `if constexpr` in Tracer::emit),
-/// so a build can strip instrumentation wholesale. Default: everything
-/// compiled in, gated at runtime.
-#ifndef PUSHPULL_OBS_COMPILED_CATEGORIES
-#define PUSHPULL_OBS_COMPILED_CATEGORIES 0x3FFu
-#endif
-inline constexpr std::uint32_t kCompiledCategories =
-    PUSHPULL_OBS_COMPILED_CATEGORIES;
-
 [[nodiscard]] constexpr std::uint32_t category_bit(Category c) noexcept {
   return static_cast<std::uint32_t>(c);
-}
-
-[[nodiscard]] constexpr bool compiled_in(Category c) noexcept {
-  return (kCompiledCategories & category_bit(c)) != 0;
 }
 
 /// Short lowercase name ("push", "ladder", ...).

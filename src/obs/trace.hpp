@@ -133,8 +133,8 @@ class TraceSink {
 };
 
 /// Cheap, copyable handle the instrumented subsystems hold. A
-/// default-constructed Tracer is inert: `emit` reduces to one null check
-/// (after the compile-time mask), which is the entire disabled-path cost.
+/// default-constructed Tracer is inert: `emit` reduces to one null check,
+/// which is the entire disabled-path cost.
 class Tracer {
  public:
   Tracer() = default;
@@ -145,17 +145,8 @@ class Tracer {
   template <Category C>
   void emit(double time, const char* name, std::uint64_t a = 0,
             std::uint64_t b = 0, double v = 0.0) const {
-    if constexpr (!compiled_in(C)) {
-      (void)time;
-      (void)name;
-      (void)a;
-      (void)b;
-      (void)v;
-      return;
-    } else {
-      if (sink_ == nullptr) return;
-      sink_->record(time, C, name, a, b, v);
-    }
+    if (sink_ == nullptr) return;
+    sink_->record(time, C, name, a, b, v);
   }
 
  private:

@@ -64,7 +64,8 @@ OverloadController::OverloadController(OverloadConfig config)
 }
 
 OverloadLevel OverloadController::update(double now, double occupancy,
-                                         double blocking_ewma) {
+                                         double blocking_ewma,
+                                         const obs::Tracer& tracer) {
   if (!config_.enabled) return level_;
   const double pressure =
       std::max(occupancy, blocking_ewma / config_.blocking_ref);
@@ -83,25 +84,15 @@ OverloadLevel OverloadController::update(double now, double occupancy,
   if (next != level_) {
     transitions_.push_back(
         OverloadTransition{now, level_, next, occupancy, blocking_ewma});
+    tracer.emit<obs::Category::kLadder>(
+        now, "transition", static_cast<std::uint64_t>(level_),
+        static_cast<std::uint64_t>(next), occupancy);
     level_ = next;
     if (static_cast<int>(level_) > static_cast<int>(max_level_)) {
       max_level_ = level_;
     }
   }
   return level_;
-}
-
-OverloadLevel OverloadController::update(double now, double occupancy,
-                                         double blocking_ewma,
-                                         const obs::Tracer& tracer) {
-  const OverloadLevel before = level_;
-  const OverloadLevel after = update(now, occupancy, blocking_ewma);
-  if (after != before) {
-    tracer.emit<obs::Category::kLadder>(
-        now, "transition", static_cast<std::uint64_t>(before),
-        static_cast<std::uint64_t>(after), occupancy);
-  }
-  return after;
 }
 
 void OverloadController::reset() {

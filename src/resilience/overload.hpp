@@ -91,15 +91,11 @@ class OverloadController {
 
   /// One evaluation step. `occupancy` is queue fill (pending / capacity);
   /// `blocking_ewma` the worst per-class blocking EWMA. Returns the level
-  /// in force after the step.
-  OverloadLevel update(double now, double occupancy, double blocking_ewma);
-
-  /// Same step, but additionally emits a ladder-category "transition"
-  /// trace event (a=from, b=to, v=pressure input) when the level moves.
-  /// Observation only — the decision path is byte-for-byte the plain
-  /// update().
+  /// in force after the step. When the level moves it emits a
+  /// ladder-category "transition" trace event (a=from, b=to, v=occupancy);
+  /// the default tracer is inert, and tracing never changes the decision.
   OverloadLevel update(double now, double occupancy, double blocking_ewma,
-                       const obs::Tracer& tracer);
+                       const obs::Tracer& tracer = {});
 
   [[nodiscard]] OverloadLevel level() const noexcept { return level_; }
   [[nodiscard]] OverloadLevel max_level() const noexcept { return max_level_; }

@@ -59,10 +59,11 @@ class RunReporter {
   void run_started(std::string_view label, std::size_t num_jobs,
                    std::size_t workers);
   /// Stamps the file with the payload schema tag and a fingerprint of the
-  /// run's inputs (scenario, config, job count). Written once, right after
-  /// run_start; CheckpointStore refuses to resume against a file whose
-  /// context disagrees, which catches the classic footgun of pointing
-  /// --resume at a checkpoint from a different experiment.
+  /// run's inputs (scenario, config, job count). Written once, before any
+  /// payload record (replicate_hybrid writes it just before run_start);
+  /// CheckpointStore refuses to resume against a file whose context
+  /// disagrees, which catches the classic footgun of pointing --resume at
+  /// a checkpoint from a different experiment.
   void run_context(std::string_view schema, std::uint64_t fingerprint);
   void job_finished(std::size_t job_id, double wall_ms, bool ok,
                     std::string_view detail = {});

@@ -1,6 +1,7 @@
 #include "sched/pull/policy.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "sched/pull/policies.hpp"
 
@@ -26,6 +27,16 @@ std::string_view to_string(PullPolicyKind kind) noexcept {
       return "importance-q";
   }
   return "unknown";
+}
+
+PullPolicyKind parse_pull_policy(std::string_view name) {
+  for (const auto kind :
+       {PullPolicyKind::kFcfs, PullPolicyKind::kMrf, PullPolicyKind::kStretch,
+        PullPolicyKind::kPriority, PullPolicyKind::kRxw, PullPolicyKind::kLwf,
+        PullPolicyKind::kImportance, PullPolicyKind::kImportanceQueueAware}) {
+    if (name == to_string(kind)) return kind;
+  }
+  throw std::invalid_argument("unknown pull policy: " + std::string(name));
 }
 
 std::unique_ptr<PullPolicy> make_pull_policy(PullPolicyKind kind,

@@ -66,6 +66,10 @@ enum class PullPolicyKind {
 
 [[nodiscard]] std::string_view to_string(PullPolicyKind kind) noexcept;
 
+/// Inverse of to_string ("fcfs", ..., "importance-q"); throws
+/// std::invalid_argument naming any other name.
+[[nodiscard]] PullPolicyKind parse_pull_policy(std::string_view name);
+
 /// Creates a policy. `alpha` is only consulted by the importance policies.
 [[nodiscard]] std::unique_ptr<PullPolicy> make_pull_policy(
     PullPolicyKind kind, double alpha = 0.5);

@@ -30,6 +30,10 @@ enum class PushPolicyKind {
 
 [[nodiscard]] std::string_view to_string(PushPolicyKind kind) noexcept;
 
+/// Inverse of to_string ("flat", "broadcast-disks", "square-root-rule");
+/// throws std::invalid_argument naming any other name.
+[[nodiscard]] PushPolicyKind parse_push_policy(std::string_view name);
+
 /// Creates a push scheduler over items [0, cutoff) of `cat`.
 /// `cutoff` must be >= 1 (pure-pull systems simply never call the push
 /// side; the factory still requires a non-empty program).

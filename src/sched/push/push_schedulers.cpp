@@ -2,6 +2,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "sched/push/broadcast_disks.hpp"
 #include "sched/push/flat.hpp"
@@ -144,6 +145,15 @@ std::string_view to_string(PushPolicyKind kind) noexcept {
       return "square-root-rule";
   }
   return "unknown";
+}
+
+PushPolicyKind parse_push_policy(std::string_view name) {
+  for (const auto kind :
+       {PushPolicyKind::kFlat, PushPolicyKind::kBroadcastDisks,
+        PushPolicyKind::kSquareRootRule}) {
+    if (name == to_string(kind)) return kind;
+  }
+  throw std::invalid_argument("unknown push policy: " + std::string(name));
 }
 
 std::unique_ptr<PushScheduler> make_push_scheduler(PushPolicyKind kind,

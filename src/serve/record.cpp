@@ -18,29 +18,6 @@ namespace {
 
 using obs::render_number;
 
-[[nodiscard]] sched::PullPolicyKind pull_policy_from(const std::string& name) {
-  for (const auto kind :
-       {sched::PullPolicyKind::kFcfs, sched::PullPolicyKind::kMrf,
-        sched::PullPolicyKind::kStretch, sched::PullPolicyKind::kPriority,
-        sched::PullPolicyKind::kRxw, sched::PullPolicyKind::kLwf,
-        sched::PullPolicyKind::kImportance,
-        sched::PullPolicyKind::kImportanceQueueAware}) {
-    if (name == sched::to_string(kind)) return kind;
-  }
-  throw std::runtime_error("serve trace: unknown pull policy \"" + name +
-                           "\"");
-}
-
-[[nodiscard]] sched::PushPolicyKind push_policy_from(const std::string& name) {
-  for (const auto kind :
-       {sched::PushPolicyKind::kFlat, sched::PushPolicyKind::kBroadcastDisks,
-        sched::PushPolicyKind::kSquareRootRule}) {
-    if (name == sched::to_string(kind)) return kind;
-  }
-  throw std::runtime_error("serve trace: unknown push policy \"" + name +
-                           "\"");
-}
-
 /// Position just past `"key":` in `line`, or npos when absent.
 [[nodiscard]] std::size_t value_pos(std::string_view line,
                                     std::string_view key) {
@@ -164,63 +141,63 @@ using obs::render_number;
   c.mean_length = number_field(line, "mean_length", 1);
   c.cutoff = static_cast<std::size_t>(count_field(line, "cutoff", 1));
   c.alpha = number_field(line, "alpha", 1);
-  c.pull_policy = pull_policy_from(string_field(line, "pull_policy", 1));
-  c.push_policy = push_policy_from(string_field(line, "push_policy", 1));
+  c.pull_policy =
+      sched::parse_pull_policy(string_field(line, "pull_policy", 1));
+  c.push_policy =
+      sched::parse_push_policy(string_field(line, "push_policy", 1));
   c.mean_bandwidth_demand = number_field(line, "mean_demand", 1);
-  if (schema == kServeJournalSchema) {
-    // The v2 header always carries the live failure model, defaults
-    // included, so resume/replay rebuild the exact configuration.
-    c.mean_deadline = number_field(line, "mean_deadline", 1);
-    c.deadline_scale =
-        csv_doubles(string_field(line, "deadline_scale", 1), "deadline_scale");
-    c.deadline_spike_factor = number_field(line, "spike_factor", 1);
-    c.deadline_spike_start = number_field(line, "spike_start", 1);
-    c.deadline_spike_duration = number_field(line, "spike_duration", 1);
-    c.fault.enabled = count_field(line, "fault_enabled", 1) != 0;
-    c.fault.channel.p_good_to_bad = number_field(line, "fault_p_gb", 1);
-    c.fault.channel.p_bad_to_good = number_field(line, "fault_p_bg", 1);
-    c.fault.channel.corrupt_good = number_field(line, "fault_corrupt_good", 1);
-    c.fault.channel.corrupt_bad = number_field(line, "fault_corrupt_bad", 1);
-    c.fault.retry.max_retries =
-        static_cast<std::uint32_t>(count_field(line, "retry_max", 1));
-    c.fault.retry.backoff_base = number_field(line, "retry_base", 1);
-    c.fault.retry.backoff_multiplier = number_field(line, "retry_mult", 1);
-    c.fault.retry.max_backoff = number_field(line, "retry_cap", 1);
-    c.fault.queue_capacity =
-        static_cast<std::size_t>(count_field(line, "fault_queue_cap", 1));
-    c.fault.shed_policy =
-        fault::parse_shed_policy(string_field(line, "shed_policy", 1));
-    c.overload.enabled = count_field(line, "ladder_enabled", 1) != 0;
-    c.overload.eval_interval = number_field(line, "ladder_interval", 1);
-    c.overload.ewma_alpha = number_field(line, "ladder_alpha", 1);
-    c.overload.blocking_ref = number_field(line, "ladder_blocking_ref", 1);
-    c.overload.capacity_ref =
-        static_cast<std::size_t>(count_field(line, "ladder_capacity", 1));
-    c.overload.cutoff_step =
-        static_cast<std::size_t>(count_field(line, "ladder_step", 1));
-    const std::vector<double> enter =
-        csv_doubles(string_field(line, "ladder_enter", 1), "ladder_enter");
-    const std::vector<double> exit =
-        csv_doubles(string_field(line, "ladder_exit", 1), "ladder_exit");
-    if (enter.size() != c.overload.enter.size() ||
-        exit.size() != c.overload.exit.size()) {
-      throw std::runtime_error(
-          "serve trace: ladder_enter/ladder_exit must carry one threshold "
-          "per ladder rung");
-    }
-    std::copy(enter.begin(), enter.end(), c.overload.enter.begin());
-    std::copy(exit.begin(), exit.end(), c.overload.exit.begin());
-    c.hedge_after = number_field(line, "hedge_after", 1);
-    c.drain_after = number_field(line, "drain_after", 1);
-    c.journal_sync_every =
-        static_cast<std::size_t>(count_field(line, "sync_every", 1));
+  // The header always carries the live failure model, defaults included,
+  // so resume/replay rebuild the exact configuration.
+  c.mean_deadline = number_field(line, "mean_deadline", 1);
+  c.deadline_scale =
+      csv_doubles(string_field(line, "deadline_scale", 1), "deadline_scale");
+  c.deadline_spike_factor = number_field(line, "spike_factor", 1);
+  c.deadline_spike_start = number_field(line, "spike_start", 1);
+  c.deadline_spike_duration = number_field(line, "spike_duration", 1);
+  c.fault.enabled = count_field(line, "fault_enabled", 1) != 0;
+  c.fault.channel.p_good_to_bad = number_field(line, "fault_p_gb", 1);
+  c.fault.channel.p_bad_to_good = number_field(line, "fault_p_bg", 1);
+  c.fault.channel.corrupt_good = number_field(line, "fault_corrupt_good", 1);
+  c.fault.channel.corrupt_bad = number_field(line, "fault_corrupt_bad", 1);
+  c.fault.retry.max_retries =
+      static_cast<std::uint32_t>(count_field(line, "retry_max", 1));
+  c.fault.retry.backoff_base = number_field(line, "retry_base", 1);
+  c.fault.retry.backoff_multiplier = number_field(line, "retry_mult", 1);
+  c.fault.retry.max_backoff = number_field(line, "retry_cap", 1);
+  c.fault.queue_capacity =
+      static_cast<std::size_t>(count_field(line, "fault_queue_cap", 1));
+  c.fault.shed_policy =
+      fault::parse_shed_policy(string_field(line, "shed_policy", 1));
+  c.overload.enabled = count_field(line, "ladder_enabled", 1) != 0;
+  c.overload.eval_interval = number_field(line, "ladder_interval", 1);
+  c.overload.ewma_alpha = number_field(line, "ladder_alpha", 1);
+  c.overload.blocking_ref = number_field(line, "ladder_blocking_ref", 1);
+  c.overload.capacity_ref =
+      static_cast<std::size_t>(count_field(line, "ladder_capacity", 1));
+  c.overload.cutoff_step =
+      static_cast<std::size_t>(count_field(line, "ladder_step", 1));
+  const std::vector<double> enter =
+      csv_doubles(string_field(line, "ladder_enter", 1), "ladder_enter");
+  const std::vector<double> exit =
+      csv_doubles(string_field(line, "ladder_exit", 1), "ladder_exit");
+  if (enter.size() != c.overload.enter.size() ||
+      exit.size() != c.overload.exit.size()) {
+    throw std::runtime_error(
+        "serve trace: ladder_enter/ladder_exit must carry one threshold "
+        "per ladder rung");
   }
+  std::copy(enter.begin(), enter.end(), c.overload.enter.begin());
+  std::copy(exit.begin(), exit.end(), c.overload.exit.begin());
+  c.hedge_after = number_field(line, "hedge_after", 1);
+  c.drain_after = number_field(line, "drain_after", 1);
+  c.journal_sync_every =
+      static_cast<std::size_t>(count_field(line, "sync_every", 1));
   c.validate();
   return c;
 }
 
-/// The header's configuration. Values that ServeConfig or the shed-policy
-/// parser reject are malformed input like any other, so their
+/// The header's configuration. Values that ServeConfig or the policy
+/// parsers reject are malformed input like any other, so their
 /// std::invalid_argument surfaces as std::runtime_error.
 [[nodiscard]] ServeConfig config_from_header(std::string_view line) {
   try {

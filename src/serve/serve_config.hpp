@@ -121,7 +121,8 @@ struct ServeConfig {
   }
 
   /// True when any live robustness mechanism is on (deadlines, faults,
-  /// ladder, hedging or drain) — the header then carries the v2 fields.
+  /// ladder, hedging or drain) — the report then renders its robustness
+  /// fields. The journal header carries them either way.
   [[nodiscard]] bool robust() const noexcept;
 
   /// The engine configuration — what LiveServer runs and what `pushpull

@@ -177,22 +177,19 @@ void expect_same_summary(const exp::ReplicationSummary& a,
 /// the first `keep_chars` characters of the JSONL (as a crash would), then
 /// resumes with `resume_jobs` workers and checks bit-identity.
 void kill_and_resume(std::size_t jobs, std::size_t resume_jobs) {
-  const auto scenario = tiny_scenario();
+  auto scenario = tiny_scenario();
+  scenario.jobs = jobs;
   core::HybridConfig config;
   config.cutoff = 15;
   const std::size_t reps = 6;
 
-  exp::ReplicateOptions plain;
-  plain.jobs = jobs;
-  const auto expected =
-      exp::replicate_hybrid(scenario, config, reps, plain);
+  const auto expected = exp::replicate_hybrid(scenario, config, reps);
 
   // Full instrumented run to obtain a realistic JSONL...
   std::ostringstream log;
   {
     runtime::RunReporter reporter(log);
     exp::ReplicateOptions opts;
-    opts.jobs = jobs;
     opts.reporter = &reporter;
     const auto logged =
         exp::replicate_hybrid(scenario, config, reps, opts);
@@ -208,8 +205,8 @@ void kill_and_resume(std::size_t jobs, std::size_t resume_jobs) {
 
   std::ostringstream resumed_log;
   runtime::RunReporter reporter(resumed_log);
+  scenario.jobs = resume_jobs;
   exp::ReplicateOptions resume_opts;
-  resume_opts.jobs = resume_jobs;
   resume_opts.reporter = &reporter;
   resume_opts.resume = &checkpoint;
   const auto resumed =

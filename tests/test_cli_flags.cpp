@@ -5,7 +5,7 @@
 // listed flag is added to each base with a sample value from the table
 // below (a flag the base already carries gets the sample value instead).
 // A case passes when the flag
-//   - is rejected: exit 1 (lint: 2) with `unknown option` naming it,
+//   - is rejected: exit 1 with `unknown option` naming it,
 //   - changes the run: its exit status, stdout or a file it writes differs
 //     from the base's, or
 //   - is on the short output-neutral list, each entry with its reason.
@@ -92,14 +92,13 @@ const std::string kLive =
     "--fault --queue-cap 8 --mean-deadline 3 --deadline-spike-factor 0.5 "
     "--deadline-spike-duration 1";
 
-/// A non-default sample value per flag; "" marks a switch. {rec}, {root}
-/// and {baseline} name fixtures the test creates.
+/// A non-default sample value per flag; "" marks a switch. {rec} names a
+/// fixture the test creates.
 const std::map<std::string, std::string> kSamples = {
     {"accelerated", ""},
     {"alpha", "0.9"},
     {"analytic", ""},
     {"bandwidth", "1.5"},
-    {"baseline", "{baseline}"},
     {"channels", "3"},
     {"chaos", ""},
     {"classes", "2"},
@@ -134,7 +133,6 @@ const std::map<std::string, std::string> kSamples = {
     {"interval", "50"},
     {"items", "50"},
     {"jobs", "3"},
-    {"json", "j.json"},
     {"ladder", ""},
     {"ladder-capacity", "2"},
     {"ladder-cutoff-step", "3"},
@@ -158,7 +156,6 @@ const std::map<std::string, std::string> kSamples = {
     {"rerequest-timeout", "2"},
     {"resume", ""},  // replicate's switch; serve's value is {rec} below
     {"retry", "0.5"},
-    {"root", "{root}"},
     {"scenario", "commuter"},
     {"scenario-intensity", "2"},
     {"seed", "9"},
@@ -238,13 +235,9 @@ void check_mode(const std::string& mode, const std::vector<std::string>& bases,
   }
   const fs::path root = fs::absolute(stem);
   fs::remove_all(root);
-  fs::create_directories(root / "root");
   const std::map<std::string, std::string> fixtures = {
       {"{rec}", (root / "rec.svj").string()},
-      {"{root}", (root / "root").string()},
-      {"{baseline}", (root / "baseline.txt").string()},
   };
-  std::ofstream(root / "baseline.txt").flush();
   ASSERT_EQ(run_in(root / "fixture",
                    {"loadtest", "--accelerated", "--duration", "5",
                     "--record", fixtures.at("{rec}")})
@@ -255,7 +248,6 @@ void check_mode(const std::string& mode, const std::vector<std::string>& bases,
     ASSERT_TRUE(kSamples.contains(flag))
         << "pushpull help lists --" << flag << ", which has no sample value";
   }
-  const int reject_status = mode == "lint" ? 2 : 1;
 
   std::size_t case_no = 0;
   for (std::size_t b = 0; b < bases.size(); ++b) {
@@ -281,8 +273,7 @@ void check_mode(const std::string& mode, const std::vector<std::string>& bases,
       for (const std::string& a : args) cmd += " " + a;
 
       const Run run = run_in(root / ("case" + std::to_string(case_no++)), args);
-      const bool rejected =
-          run.status == reject_status && names_unknown(run.err, flag);
+      const bool rejected = run.status == 1 && names_unknown(run.err, flag);
       if (wall_clock) {
         EXPECT_TRUE(run.status == 0 ||
                     (run.status == 1 &&
@@ -406,5 +397,3 @@ TEST(CliFlags, Trace) {
                        "trace --out t.csv --requests 3000 --trace e.jsonl " +
                            kSwitched});
 }
-
-TEST(CliFlags, Lint) { check_mode("lint", {"lint", "lint --json l.json"}); }

@@ -332,8 +332,8 @@ TEST(DetlintLayers, L1FiresOnUndeclaredAndRestrictedEdges) {
   const std::string text = read_fixture("bad_l1.cpp");
   const auto expected = expected_findings(text);
   ASSERT_FALSE(expected.empty());
-  const auto diags = detlint::analyze_source_v2("src/core/bad_l1.cpp", text,
-                                                {}, &layers);
+  const auto diags =
+      detlint::analyze_source("src/core/bad_l1.cpp", text, {}, &layers);
   EXPECT_EQ(actual_findings(diags), expected);
 }
 
@@ -346,17 +346,17 @@ TEST(DetlintLayers, WildcardLayerMayIncludeAnythingButRestricted) {
   // tools/ maps to the wildcard `cli` layer, which is also on exp's
   // restricted allow-list — everything is legal.
   EXPECT_TRUE(
-      detlint::analyze_source_v2("tools/pushpull_cli.cpp", body, {}, &layers)
+      detlint::analyze_source("tools/pushpull_cli.cpp", body, {}, &layers)
           .empty());
   // bench is not declared in the mini config, so it is unlayered: silent.
   EXPECT_TRUE(
-      detlint::analyze_source_v2("bench/b.cpp", body, {}, &layers).empty());
+      detlint::analyze_source("bench/b.cpp", body, {}, &layers).empty());
 }
 
 TEST(DetlintLayers, L1SkipsEntirelyWithoutConfig) {
   const std::string body = "#include \"serve/live.hpp\"\n";
   EXPECT_TRUE(
-      detlint::analyze_source_v2("src/core/f.cpp", body, {}, nullptr).empty());
+      detlint::analyze_source("src/core/f.cpp", body, {}, nullptr).empty());
 }
 
 TEST(DetlintLayers, ConfigRejectsUndeclaredDepsAndCycles) {

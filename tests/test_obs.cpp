@@ -488,14 +488,15 @@ std::string merged_trace(std::size_t jobs, std::size_t reps,
                          runtime::RunReporter* reporter = nullptr,
                          const runtime::CheckpointStore* resume = nullptr) {
   core::HybridConfig config = base_config();
+  exp::Scenario scenario = rep_scenario();
+  scenario.jobs = jobs;
   std::ostringstream trace;
   exp::ReplicateOptions options;
-  options.jobs = jobs;
   options.obs.enabled = true;
   options.trace_out = &trace;
   options.reporter = reporter;
   options.resume = resume;
-  (void)exp::replicate_hybrid(rep_scenario(), config, reps, options);
+  (void)exp::replicate_hybrid(scenario, config, reps, options);
   return trace.str();
 }
 

@@ -38,6 +38,11 @@ TEST(Factory, NamesRoundTrip) {
         PullPolicyKind::kImportance, PullPolicyKind::kImportanceQueueAware}) {
     const auto policy = make_pull_policy(kind, 0.5);
     EXPECT_EQ(policy->name(), to_string(kind));
+    EXPECT_EQ(parse_pull_policy(to_string(kind)), kind) << to_string(kind);
+  }
+  for (const char* name : {"", "unknown", "FCFS", "importance_q", "flat"}) {
+    EXPECT_THROW((void)parse_pull_policy(name), std::invalid_argument)
+        << name;
   }
 }
 

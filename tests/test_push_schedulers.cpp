@@ -11,6 +11,7 @@
 #include "catalog/length_model.hpp"
 #include "sched/push/broadcast_disks.hpp"
 #include "sched/push/flat.hpp"
+#include "sched/push/push_scheduler.hpp"
 #include "sched/push/square_root_rule.hpp"
 
 namespace pushpull::sched {
@@ -183,7 +184,12 @@ TEST(PushFactory, CreatesEachKind) {
                     PushPolicyKind::kSquareRootRule}) {
     const auto sched = make_push_scheduler(kind, cat, 10);
     EXPECT_EQ(sched->name(), to_string(kind));
+    EXPECT_EQ(parse_push_policy(to_string(kind)), kind) << to_string(kind);
     EXPECT_LT(sched->next(), 10u);
+  }
+  for (const char* name : {"", "unknown", "Flat", "broadcast_disks", "fcfs"}) {
+    EXPECT_THROW((void)parse_push_policy(name), std::invalid_argument)
+        << name;
   }
 }
 

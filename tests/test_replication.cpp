@@ -124,15 +124,11 @@ TEST(Replication, ParallelIsBitIdenticalToSerial) {
     core::HybridConfig config;
     config.cutoff = 30;
 
-    ReplicateOptions serial_opts;
-    serial_opts.jobs = 1;
-    const auto serial =
-        replicate_hybrid(scenario, config, input.reps, serial_opts);
+    scenario.jobs = 1;
+    const auto serial = replicate_hybrid(scenario, config, input.reps);
 
-    ReplicateOptions parallel_opts;
-    parallel_opts.jobs = input.jobs;
-    const auto parallel =
-        replicate_hybrid(scenario, config, input.reps, parallel_opts);
+    scenario.jobs = input.jobs;
+    const auto parallel = replicate_hybrid(scenario, config, input.reps);
 
     expect_identical(serial, parallel);
   }
@@ -170,13 +166,13 @@ TEST(Replication, ClassDelaySizedFromBuiltPopulation) {
 TEST(Replication, ParallelRunEmitsProgressJsonl) {
   Scenario scenario;
   scenario.num_requests = 1000;
+  scenario.jobs = 4;
   core::HybridConfig config;
   config.cutoff = 30;
 
   std::ostringstream sink;
   runtime::RunReporter reporter(sink);
   ReplicateOptions options;
-  options.jobs = 4;
   options.reporter = &reporter;
   (void)replicate_hybrid(scenario, config, 4, options);
 
@@ -187,6 +183,8 @@ TEST(Replication, ParallelRunEmitsProgressJsonl) {
   for (std::string line; std::getline(lines, line);) {
     if (line.find(R"("event":"run_start")") != std::string::npos) {
       saw_start = true;
+      // The worker count comes from Scenario::jobs.
+      EXPECT_NE(line.find(R"("workers":4})"), std::string::npos) << line;
     } else if (line.find(R"("event":"run_end")") != std::string::npos) {
       saw_end = true;
     } else if (line.find(R"("event":"job")") != std::string::npos) {

@@ -22,6 +22,7 @@
 #include "resilience/resilience_config.hpp"
 #include "resilience/snapshot.hpp"
 #include "rng/stream.hpp"
+#include "runtime/run_reporter.hpp"
 #include "storm_audit.hpp"
 
 namespace pushpull {
@@ -474,14 +475,16 @@ TEST(Chaos, SpikeWarpIsDeterministicOrderPreservingAndGated) {
   }
 }
 
-exp::ChaosSummary chaos_run(std::size_t jobs) {
+exp::ChaosSummary chaos_run(std::size_t jobs,
+                            runtime::RunReporter* reporter = nullptr) {
   auto scenario = small_scenario();
   scenario.seed = 11;
+  scenario.jobs = jobs;
   auto config = crash_config(resilience::RecoveryMode::kCold);
   config.resilience.overload.enabled = true;
   exp::ChaosOptions options;
   options.replications = 4;
-  options.jobs = jobs;
+  options.reporter = reporter;
   options.spike_factor = 3.0;
   options.spike_start = 100.0;
   options.spike_duration = 150.0;
@@ -518,6 +521,31 @@ TEST(Chaos, JobsCountNeverChangesTheNumbers) {
     EXPECT_EQ(serial.per_class[c].stormed, parallel.per_class[c].stormed);
     EXPECT_EQ(serial.per_class[c].rejected, parallel.per_class[c].rejected);
   }
+}
+
+TEST(Chaos, ParallelRunEmitsProgressJsonl) {
+  // The worker count comes from Scenario::jobs: the run_start line names
+  // the four workers, and every replication reports one job line.
+  std::ostringstream sink;
+  runtime::RunReporter reporter(sink);
+  (void)chaos_run(4, &reporter);
+  std::istringstream lines(sink.str());
+  std::string start;
+  ASSERT_TRUE(std::getline(lines, start));
+  EXPECT_NE(start.find(R"("event":"run_start","label":"chaos","jobs":4,)"
+                       R"("workers":4})"),
+            std::string::npos)
+      << start;
+  std::size_t jobs = 0;
+  std::string last;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(R"("event":"job")") != std::string::npos) ++jobs;
+    last = line;
+  }
+  EXPECT_EQ(jobs, 4u);
+  EXPECT_NE(last.find(R"("event":"run_end","label":"chaos")"),
+            std::string::npos)
+      << last;
 }
 
 // --- bit-invisible defaults: committed CLI goldens ------------------------

@@ -391,7 +391,6 @@ exp::ChaosSummary chaos_run(exp::Scenario s, const core::HybridConfig& config,
   s.jobs = jobs;
   exp::ChaosOptions options;
   options.replications = 4;
-  options.jobs = jobs;
   options.gap_bound = gap_bound;
   return exp::run_chaos(s, config, options);
 }

@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
       }
       const std::filesystem::path rel =
           file.lexically_proximate(root).lexically_normal();
-      const auto file_diags = detlint::analyze_source_v2(
+      const auto file_diags = detlint::analyze_source(
           rel.generic_string(), text, {}, layers_ptr);
       diags.insert(diags.end(), file_diags.begin(), file_diags.end());
     }

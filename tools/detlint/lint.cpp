@@ -852,7 +852,7 @@ std::set<std::string> collect_unordered_names(std::string_view text) {
   return unordered_names_in(tokenize(prepared.code));
 }
 
-std::vector<Diagnostic> analyze_source_v2(
+std::vector<Diagnostic> analyze_source(
     std::string_view path, std::string_view text,
     const std::set<std::string>& extra_unordered_names,
     const LayerConfig* layers) {
@@ -860,12 +860,6 @@ std::vector<Diagnostic> analyze_source_v2(
   const std::vector<Token> toks = tokenize(prepared.code);
   return Analysis(path, text, prepared, toks, extra_unordered_names, layers)
       .run();
-}
-
-std::vector<Diagnostic> analyze_source(
-    std::string_view path, std::string_view text,
-    const std::set<std::string>& extra_unordered_names) {
-  return analyze_source_v2(path, text, extra_unordered_names);
 }
 
 // ---------------------------------------------------------------------------
@@ -1041,19 +1035,6 @@ std::string read_or_empty(const std::filesystem::path& file, bool& ok) {
 
 }  // namespace
 
-std::vector<Diagnostic> analyze_file(
-    const std::filesystem::path& root, const std::filesystem::path& file,
-    const std::set<std::string>& extra_unordered_names) {
-  bool ok = false;
-  const std::string text = read_or_empty(file, ok);
-  if (!ok) {
-    return {{file.generic_string(), 0, "IO", "cannot read file", false}};
-  }
-  const std::filesystem::path rel =
-      file.lexically_proximate(root).lexically_normal();
-  return analyze_source(rel.generic_string(), text, extra_unordered_names);
-}
-
 std::vector<Diagnostic> analyze_tree(const std::filesystem::path& root) {
   static const std::vector<std::string> kSubdirs = {"src", "tools", "bench"};
   static const std::set<std::string> kExtensions = {".hpp", ".h", ".hh",
@@ -1105,8 +1086,8 @@ std::vector<Diagnostic> analyze_tree(const std::filesystem::path& root) {
   for (std::size_t i = 0; i < files.size(); ++i) {
     const std::filesystem::path rel =
         files[i].lexically_proximate(root).lexically_normal();
-    auto file_diags = analyze_source_v2(rel.generic_string(), texts[i],
-                                        tree_unordered_names, layers_ptr);
+    auto file_diags = analyze_source(rel.generic_string(), texts[i],
+                                     tree_unordered_names, layers_ptr);
     diags.insert(diags.end(), std::make_move_iterator(file_diags.begin()),
                  std::make_move_iterator(file_diags.end()));
   }

@@ -124,14 +124,9 @@ struct LayerConfig {
 /// src/rng/, R1 applies only under src/, R2 only to headers, D4's ==/!=
 /// check skips approved helper files). `extra_unordered_names` extends
 /// D3's locally-collected declaration set (see collect_unordered_names).
+/// When `layers` is non-null the L1 include-graph pass runs too.
 /// Diagnostics come back sorted by (line, rule).
 [[nodiscard]] std::vector<Diagnostic> analyze_source(
-    std::string_view path, std::string_view text,
-    const std::set<std::string>& extra_unordered_names = {});
-
-/// analyze_source plus (when `layers` is non-null) the L1 include-graph
-/// pass.
-[[nodiscard]] std::vector<Diagnostic> analyze_source_v2(
     std::string_view path, std::string_view text,
     const std::set<std::string>& extra_unordered_names = {},
     const LayerConfig* layers = nullptr);
@@ -140,11 +135,6 @@ struct LayerConfig {
 /// undeclared dependencies, cycles), reported against `config_path`.
 [[nodiscard]] std::vector<Diagnostic> check_layer_config(
     const LayerConfig& layers, std::string_view config_path);
-
-/// Reads and analyzes `file`, reporting it relative to `root`.
-[[nodiscard]] std::vector<Diagnostic> analyze_file(
-    const std::filesystem::path& root, const std::filesystem::path& file,
-    const std::set<std::string>& extra_unordered_names = {});
 
 /// Walks root/{src,tools,bench} (skipping `fixtures`, `build` and hidden
 /// directories), analyzing every .hpp/.h/.hh/.cpp/.cc file. Runs every
@@ -170,7 +160,7 @@ void apply_baseline(std::vector<Diagnostic>& diags, const Baseline& baseline);
 [[nodiscard]] std::size_t fresh_count(const std::vector<Diagnostic>& diags);
 
 /// Pretty rule table (id, name, summary) for `detlint --check` and
-/// `pushpull lint`.
+/// `detlint --rules`.
 void print_rule_table(std::ostream& out);
 
 }  // namespace detlint

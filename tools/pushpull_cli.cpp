@@ -9,8 +9,6 @@
 #include <algorithm>
 #include <atomic>
 #include <csignal>
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -18,19 +16,14 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <tuple>
-#include <unordered_map>
 #include <vector>
 
-#include "lint.hpp"
-#include "report.hpp"
 #include "core/cutoff_optimizer.hpp"
 #include "core/hybrid_server.hpp"
 #include "exp/chaos.hpp"
 #include "exp/cli.hpp"
 #include "exp/replication.hpp"
 #include "fault/fault_config.hpp"
-#include "metrics/sorted_view.hpp"
 #include "obs/category.hpp"
 #include "obs/config.hpp"
 #include "obs/export.hpp"
@@ -95,18 +88,6 @@ exp::Scenario model_scenario_from(const exp::ArgParser& args) {
   exp::Scenario s = catalog_from(args);
   s.arrival_rate = args.get_double("rate", s.arrival_rate);
   return s;
-}
-
-sched::PullPolicyKind policy_from(const std::string& name) {
-  for (auto kind :
-       {sched::PullPolicyKind::kFcfs, sched::PullPolicyKind::kMrf,
-        sched::PullPolicyKind::kStretch, sched::PullPolicyKind::kPriority,
-        sched::PullPolicyKind::kRxw, sched::PullPolicyKind::kLwf,
-        sched::PullPolicyKind::kImportance,
-        sched::PullPolicyKind::kImportanceQueueAware}) {
-    if (name == sched::to_string(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown pull policy: " + name);
 }
 
 /// Only the importance policies weigh stretch against priority
@@ -229,7 +210,7 @@ core::HybridConfig config_from(const exp::ArgParser& args) {
   core::HybridConfig config;
   config.cutoff = args.get_size("cutoff", 40);
   config.pull_policy =
-      policy_from(args.get_string("policy", "importance"));
+      sched::parse_pull_policy(args.get_string("policy", "importance"));
   config.alpha = alpha_from(args, config.pull_policy, config.alpha);
   config.total_bandwidth = args.get_double("bandwidth", 0.0);
   config.mean_bandwidth_demand = args.get_double("demand", 1.0);
@@ -358,12 +339,12 @@ int cmd_simulate(const exp::ArgParser& args) {
 }
 
 int cmd_chaos(const exp::ArgParser& args) {
-  const auto scenario = scenario_from(args);
+  auto scenario = scenario_from(args);
+  scenario.jobs = args.get_jobs("jobs");
   const core::HybridConfig config = config_from(args);
 
   exp::ChaosOptions options;
   options.replications = args.get_size("reps", 16);
-  options.jobs = args.get_jobs("jobs");
   // A spike is read only as a whole: it needs its factor and its window.
   // Validated numeric parsing: a spike factor must be positive finite, the
   // window non-negative finite — "-1" or "2x" fails with a one-line
@@ -491,23 +472,23 @@ int cmd_optimize(const exp::ArgParser& args) {
 
   const auto scan_and_print =
       [&](const std::function<double(std::size_t)>& cost) {
-        core::CutoffScan scan;
+        std::optional<obs::TraceSink> sink;
         if (obs_config.enabled) {
-          obs::TraceSink sink(obs_config.trace_capacity,
-                              obs_config.categories);
-          scan = core::scan_cutoffs(0, scenario.num_items, step, cost,
-                                    obs::Tracer(&sink));
+          sink.emplace(obs_config.trace_capacity, obs_config.categories);
+        }
+        const core::CutoffScan scan =
+            core::scan_cutoffs(0, scenario.num_items, step, cost,
+                               obs::Tracer(sink ? &*sink : nullptr));
+        if (sink) {
           obs::ObsReport report;
           report.enabled = true;
-          report.categories = sink.categories();
-          report.trace_capacity = sink.capacity();
-          report.emitted = sink.emitted();
-          report.dropped = sink.dropped();
-          report.events = sink.snapshot();
+          report.categories = sink->categories();
+          report.trace_capacity = sink->capacity();
+          report.emitted = sink->emitted();
+          report.dropped = sink->dropped();
+          report.events = sink->snapshot();
           const int rc = write_trace_file(trace_path, report, "optimize");
           if (rc != 0) return rc;
-        } else {
-          scan = core::scan_cutoffs(0, scenario.num_items, step, cost);
         }
         exp::Table table({"K", "total cost"});
         for (const auto& sample : scan.curve) {
@@ -568,11 +549,11 @@ int cmd_model(const exp::ArgParser& args) {
 }
 
 int cmd_replicate(const exp::ArgParser& args) {
-  const auto scenario = scenario_from(args);
+  auto scenario = scenario_from(args);
+  scenario.jobs = args.get_jobs("jobs");
   const core::HybridConfig config = config_from(args);
   const std::size_t reps = args.get_size("reps", 10);
   exp::ReplicateOptions options;
-  options.jobs = args.get_jobs("jobs");
   options.obs = obs_from(args);
   const std::string trace_path = args.get_string("trace", "");
   const std::string progress_path = args.get_string("progress", "");
@@ -783,86 +764,6 @@ int cmd_uplink(const exp::ArgParser& args) {
   return 0;
 }
 
-int cmd_lint(const exp::ArgParser& args) {
-  // Prints the determinism-contract rule table and baseline statistics,
-  // then scans the tree — the same passes the `detlint` binary and the
-  // detlint_tree ctest run (per-file rules, layer DAG, dead suppressions,
-  // baseline ratchet), embedded here so EXPERIMENTS.md
-  // can document one entry point. Exit 0 clean, 1 findings, 2 usage/IO.
-  std::filesystem::path root;
-  std::string baseline_path;
-  std::string json_path;
-  try {
-#ifdef DETLINT_DEFAULT_ROOT
-    const std::string default_root = DETLINT_DEFAULT_ROOT;
-#else
-    const std::string default_root = ".";
-#endif
-    root = args.get_string("root", default_root);
-    baseline_path = args.get_string(
-        "baseline", (root / "tools" / "detlint" / "baseline.txt").string());
-    json_path = args.get_string("json", "");
-    args.reject_unread();
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "lint: " << e.what() << "\n";
-    return 2;
-  }
-  if (!std::filesystem::is_directory(root)) {
-    std::cerr << "lint: --root " << root.string() << " is not a directory\n";
-    return 2;
-  }
-  const detlint::Baseline baseline =
-      detlint::Baseline::load_file(baseline_path);
-
-  detlint::print_rule_table(std::cout);
-  std::cout << "baseline: " << baseline.size() << " grandfathered entr"
-            << (baseline.size() == 1 ? "y" : "ies") << " (" << baseline_path
-            << ")\n\n";
-
-  auto diags = detlint::analyze_tree(root);
-  detlint::apply_baseline(diags, baseline);
-  auto stale = detlint::baseline_ratchet(diags, baseline, baseline_path);
-  diags.insert(diags.end(), stale.begin(), stale.end());
-
-  // Emission routes through the same sorted_view idiom rule D3 enforces on
-  // the tree: findings bucketed by (file, line, rule), emitted key-sorted.
-  std::unordered_map<std::string, std::vector<const detlint::Diagnostic*>>
-      fresh_by_key;
-  for (const auto& d : diags) {
-    if (d.baselined) continue;
-    // Line zero-padded so the key's string order is (file, line, rule).
-    char padded[16];
-    std::snprintf(padded, sizeof padded, "%08zu", d.line);
-    fresh_by_key[d.file + ":" + padded + ":" + d.rule].push_back(&d);
-  }
-  for (const auto& [key, group] : metrics::sorted_view(fresh_by_key)) {
-    for (const detlint::Diagnostic* d : group) {
-      std::cout << d->file << ":" << d->line << ": " << d->rule << ": "
-                << d->message << "\n";
-    }
-  }
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "lint: cannot open " << json_path << "\n";
-      return 2;
-    }
-    std::sort(diags.begin(), diags.end(),
-              [](const detlint::Diagnostic& a, const detlint::Diagnostic& b) {
-                return std::tie(a.file, a.line, a.rule) <
-                       std::tie(b.file, b.line, b.rule);
-              });
-    detlint::render_json(out, diags);
-  }
-
-  const std::size_t fresh = detlint::fresh_count(diags);
-  std::cout << "lint: " << fresh << " finding" << (fresh == 1 ? "" : "s")
-            << ", " << diags.size() - fresh << " baselined\n";
-  return fresh == 0 ? 0 : 1;
-}
-
-
 int cmd_trace(const exp::ArgParser& args) {
   const std::string out = args.get_string("out", "");
   const std::string trace_path = args.get_string("trace", "");
@@ -937,7 +838,8 @@ serve::ServeConfig serve_config_from(const exp::ArgParser& args, bool chaos) {
   c.theta = args.get_double("theta", c.theta);
   c.num_classes = args.get_size("classes", c.num_classes);
   c.cutoff = args.get_size("cutoff", c.cutoff);
-  c.pull_policy = policy_from(args.get_string("policy", "importance"));
+  c.pull_policy =
+      sched::parse_pull_policy(args.get_string("policy", "importance"));
   c.alpha = alpha_from(args, c.pull_policy, c.alpha);
   c.duration = args.get_positive_double("duration", c.duration);
   c.target_qps = args.get_positive_double("target-qps", c.target_qps);
@@ -1097,7 +999,6 @@ int run_live(const exp::ArgParser& args, bool accelerated, const char* cmd) {
     }
     producer.join();
   }
-  if (recorder) recorder->finish();
   std::cout << serve::render_serve_report(report);
   if (!record_path.empty()) {
     std::cout << "journaled " << report.arrivals << " requests to "
@@ -1273,13 +1174,8 @@ commands:
                and/or run the hybrid server with full observability and
                write the sim-time event trace as JSONL (--trace FILE; the
                server flags are read only with it)
-  lint         print the determinism-contract rules (D1-D5, L1, R1-R2, S1)
-               and baseline stats, then run every detlint pass over the
-               tree — per-file rules, layer DAG, dead suppressions,
-               baseline ratchet (--root DIR, --baseline FILE, --json FILE;
-               exit 0 clean / 1 findings / 2 usage-IO, unknown flags too)
 
-workload (every command but replay and lint):
+workload (every command but replay):
   --theta T --items D --seed S   catalog skew and size, and the seed
   --rate L --requests N   Poisson arrival rate and trace length
   --scenario {none,diurnal,flashcrowd,commuter,kitchen-sink}
@@ -1463,7 +1359,6 @@ int main(int argc, char** argv) {
     if (command == "loadtest") return cmd_loadtest(args);
     if (command == "replay") return cmd_replay(args);
     if (command == "trace") return cmd_trace(args);
-    if (command == "lint") return cmd_lint(args);
     if (command == "help") {
       args.reject_unread();
       usage();
