@@ -22,12 +22,14 @@ void PullQueue::add(const workload::Request& request, double priority,
     entry.popularity = popularity;
     entry.first_arrival = request.arrival;
     entries_.push_back(std::move(entry));
-    scores_.push_back(0.0);
-    is_dirty_.push_back(0);
-    if (tree_cap_ != 0 && entries_.size() > tree_cap_) {
-      rebuild_tree();
-    } else {
-      tree_set_leaf(entries_.size() - 1);
+    if (heap_live()) {
+      // A placeholder key until the drain rekeys the slot (dirty below).
+      pos_.push_back(0);
+      is_dirty_.push_back(0);
+      heap_.emplace_back();
+      sift_up(heap_.size() - 1,
+              Node{-std::numeric_limits<double>::infinity(), request.item,
+                   slot});
     }
   }
   auto& entry = entries_[slot];
@@ -76,7 +78,7 @@ std::optional<sched::PullEntry> PullQueue::extract_best(
     if (scan_only_) {
       best = select_by_scan(policy, ctx);
     } else if (use == Use::kEntryOnly) {
-      best = tree_[1];
+      best = heap_.front().slot;
     } else {
       best = select_scaled(policy, ctx);
     }
@@ -87,33 +89,43 @@ std::optional<sched::PullEntry> PullQueue::extract_best(
 void PullQueue::refresh_keys(const sched::PullPolicy& policy,
                              const sched::PullContext& ctx,
                              sched::PullPolicy::ContextUse use) {
+  const bool scaled = use == sched::PullPolicy::ContextUse::kScaledByQueueLen;
+  const auto rekey = [&](std::size_t slot) {
+    const double key = scaled ? policy.scaled_key(entries_[slot])
+                              : policy.score(entries_[slot], ctx);
+    // A NaN key breaks the fold/heap equivalence (NaN compares false both
+    // ways); an infinite one, the band's error bound. Either defers to the
+    // reference scan for the rest of the policy's tenure.
+    if (std::isnan(key) || (scaled && std::isinf(key))) scan_only_ = true;
+    return key;
+  };
   const std::size_t n = entries_.size();
   if (&policy != last_policy_) {
-    // New (or first) policy: every cached key is stale.
+    // New (or first) policy: every cached key is stale, so rekey them all
+    // and heapify once.
     last_policy_ = &policy;
     scan_only_ = false;
     dirty_.clear();
-    dirty_.reserve(n);
+    is_dirty_.assign(n, 0);
+    pos_.resize(n);
+    heap_.resize(n);
     for (std::size_t slot = 0; slot < n; ++slot) {
-      is_dirty_[slot] = 1;
-      dirty_.push_back(static_cast<Slot>(slot));
+      pos_[slot] = static_cast<Slot>(slot);
+      heap_[slot] =
+          Node{rekey(slot), entries_[slot].item, static_cast<Slot>(slot)};
     }
+    for (std::size_t pos = n / 2; pos-- > 0;) sift_down(pos, heap_[pos]);
+    return;
   }
-  if (tree_cap_ < n) rebuild_tree();
-  const bool scaled = use == sched::PullPolicy::ContextUse::kScaledByQueueLen;
   while (!dirty_.empty()) {
     const std::size_t slot = dirty_.back();
     dirty_.pop_back();
     if (slot >= n || is_dirty_[slot] == 0) continue;  // stale stack entry
     is_dirty_[slot] = 0;
-    const double key = scaled ? policy.scaled_key(entries_[slot])
-                              : policy.score(entries_[slot], ctx);
-    // A NaN key breaks the fold/tree equivalence (NaN compares false both
-    // ways); an infinite one, the band's error bound. Either defers to the
-    // reference scan for the rest of the policy's tenure.
-    if (std::isnan(key) || (scaled && std::isinf(key))) scan_only_ = true;
-    scores_[slot] = key;
-    tree_set_leaf(slot);
+    const std::size_t pos = pos_[slot];
+    Node node = heap_[pos];
+    node.key = rekey(slot);
+    sift(pos, node);
   }
 }
 
@@ -127,30 +139,28 @@ std::size_t PullQueue::select_scaled(const sched::PullPolicy& policy,
   constexpr double kMinKey = 0x1p-896;
   constexpr double kBand = 0x1p-40;
   const double scale = ctx.expected_queue_len;
-  const double top = scores_[tree_[1]];
+  const double top = heap_.front().key;
   if (!(scale >= kMinScale && scale <= 1.0 / kMinScale) ||
       !(top >= kMinKey && top <= 1.0 / kMinKey)) {
     return select_by_scan(policy, ctx);
   }
   const double floor = top * (1.0 - kBand);
-  // Depth-first walk of the subtrees whose winner clears the floor: each
-  // node holds its subtree's best key, so this visits only band members
-  // and their ancestors.
+  // Depth-first walk of the nodes whose key clears the floor: a node's key
+  // bounds its subtree's, so this visits only band members and their
+  // children.
+  const std::size_t n = heap_.size();
   band_.clear();
-  band_.push_back(1);
+  band_.push_back(0);
   std::size_t best = kNoSlot;
   double best_score = 0.0;
   while (!band_.empty()) {
-    const std::size_t node = band_.back();
+    const std::size_t pos = band_.back();
     band_.pop_back();
-    const Slot slot = tree_[node];
-    if (slot == kNoSlot || scores_[slot] < floor) continue;
-    if (node < tree_cap_) {
-      band_.push_back(2 * node + 1);
-      band_.push_back(2 * node);
-      continue;
-    }
+    if (heap_[pos].key < floor) continue;
+    if (2 * pos + 1 < n) band_.push_back(2 * pos + 1);
+    if (2 * pos + 2 < n) band_.push_back(2 * pos + 2);
     // The scan's fold, over the band only.
+    const Slot slot = heap_[pos].slot;
     const double s = policy.score(entries_[slot], ctx);
     if (std::isnan(s)) return select_by_scan(policy, ctx);
     if (best == kNoSlot || s > best_score ||
@@ -166,23 +176,30 @@ std::optional<sched::PullEntry> PullQueue::extract(catalog::ItemId item) {
   const Slot slot = slot_of(item);
   if (slot == kNoSlot) return std::nullopt;
   const std::size_t back = entries_.size() - 1;
+  if (heap_live()) {
+    // Delete the slot's node: the heap's last node fills the hole and sifts
+    // whichever way it belongs (it may outrank the hole's parent). Then the
+    // back entry moves to `slot`, and its node, which keeps its cached key
+    // and dirty mark, is re-pointed there.
+    const Node last = heap_.back();
+    heap_.pop_back();
+    if (pos_[slot] < heap_.size()) sift(pos_[slot], last);
+    if (slot != back) {
+      pos_[slot] = pos_[back];
+      heap_[pos_[slot]].slot = slot;
+      if (is_dirty_[back] != 0 && is_dirty_[slot] == 0) dirty_.push_back(slot);
+      is_dirty_[slot] = is_dirty_[back];
+    }
+    pos_.pop_back();
+    is_dirty_.pop_back();
+  }
   sched::PullEntry out = std::move(entries_[slot]);
   slot_of_[item] = kNoSlot;
   if (slot != back) {
     entries_[slot] = std::move(entries_.back());
-    // The moved entry keeps its cached score; only its slot changed.
-    scores_[slot] = scores_[back];
-    if (is_dirty_[back] != 0 && is_dirty_[slot] == 0) {
-      is_dirty_[slot] = 1;
-      dirty_.push_back(slot);
-    }
     slot_of_[entries_[slot].item] = slot;
   }
   entries_.pop_back();
-  scores_.pop_back();
-  is_dirty_.pop_back();
-  tree_set_leaf(back);                   // vacated leaf
-  if (slot != back) tree_set_leaf(slot); // moved entry's new path
   if (total_requests_ < out.pending.size()) {
     throw std::logic_error(
         "PullQueue: extracting item " + std::to_string(item) + " with " +
@@ -234,52 +251,47 @@ void PullQueue::clear() {
   for (const auto& entry : entries_) slot_of_[entry.item] = kNoSlot;
   entries_.clear();
   total_requests_ = 0;
-  scores_.clear();
-  is_dirty_.clear();
-  dirty_.clear();
-  tree_.clear();
-  tree_cap_ = 0;
-  last_policy_ = nullptr;
-  scan_only_ = false;
+  invalidate_scores();  // the next keyed extraction rebuilds the heap
 }
 
 void PullQueue::mark_dirty(std::size_t slot) {
-  if (is_dirty_[slot] == 0) {
+  if (heap_live() && is_dirty_[slot] == 0) {
     is_dirty_[slot] = 1;
     dirty_.push_back(static_cast<Slot>(slot));
   }
 }
 
-PullQueue::Slot PullQueue::tree_winner(Slot l, Slot r) const noexcept {
-  if (l == kNoSlot) return r;
-  if (r == kNoSlot) return l;
-  // Exactly the scan's fold condition with l as the running best: the
-  // later slot wins only when strictly better or tied with a lower item.
-  const double sl = scores_[l];
-  const double sr = scores_[r];
-  if (sr > sl || (sr == sl && entries_[r].item < entries_[l].item)) return r;
-  return l;
+void PullQueue::place(std::size_t pos, const Node& node) noexcept {
+  heap_[pos] = node;
+  pos_[node.slot] = static_cast<Slot>(pos);
 }
 
-void PullQueue::tree_set_leaf(std::size_t slot) {
-  if (tree_cap_ == 0 || slot >= tree_cap_) return;
-  std::size_t i = tree_cap_ + slot;
-  tree_[i] = slot < entries_.size() ? static_cast<Slot>(slot) : kNoSlot;
-  for (i >>= 1; i >= 1; i >>= 1) {
-    tree_[i] = tree_winner(tree_[2 * i], tree_[2 * i + 1]);
+void PullQueue::sift_up(std::size_t pos, Node node) noexcept {
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!outranks(node, heap_[parent])) break;
+    place(pos, heap_[parent]);
+    pos = parent;
   }
+  place(pos, node);
 }
 
-void PullQueue::rebuild_tree() {
-  std::size_t cap = 16;
-  while (cap < entries_.size()) cap *= 2;
-  tree_cap_ = cap;
-  tree_.assign(2 * cap, kNoSlot);
-  for (std::size_t slot = 0; slot < entries_.size(); ++slot) {
-    tree_[cap + slot] = static_cast<Slot>(slot);
+void PullQueue::sift_down(std::size_t pos, Node node) noexcept {
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
+    if (child + 1 < n && outranks(heap_[child + 1], heap_[child])) ++child;
+    if (!outranks(heap_[child], node)) break;
+    place(pos, heap_[child]);
+    pos = child;
   }
-  for (std::size_t i = cap - 1; i >= 1; --i) {
-    tree_[i] = tree_winner(tree_[2 * i], tree_[2 * i + 1]);
+  place(pos, node);
+}
+
+void PullQueue::sift(std::size_t pos, Node node) noexcept {
+  if (pos > 0 && outranks(node, heap_[(pos - 1) / 2])) {
+    sift_up(pos, node);
+  } else {
+    sift_down(pos, node);
   }
 }
 

@@ -23,27 +23,29 @@ namespace pushpull::core {
 /// back, so insertion, lookup and removal are O(1). Selection has two
 /// engines:
 ///
-/// - kIndexed (default): a cached key per entry plus a tournament max-tree
-///   over the slots. Mutations (add / extract / remove_request) mark the
-///   touched slot dirty; extraction rekeys only dirty slots — O(d·log n)
-///   per slot where d is the number of entries whose R_i/Q_i/age inputs
-///   changed since the last extraction, instead of the O(n) full rescan.
-///   How the key is used follows PullPolicy::context_use(): for entry-only
-///   policies the key is the score and the winner sits at the tree root;
-///   for scores scaled by expected_queue_len (Eq. 6) the key is the score
-///   at E[L_pull] = 1, and only the slots whose key lies within a 2^-40
-///   relative band of the root are rescored and folded. Context-dependent
-///   policies (RxW, LWF, aging) transparently fall back to the scan.
+/// - kIndexed (default): a cached key per entry in an indexed binary
+///   max-heap of {key, item, slot} nodes, with a slot→position index.
+///   Mutations (add / extract / remove_request) mark the touched slot
+///   dirty; extraction rekeys only dirty slots in place and sifts each up
+///   or down — O(d·log n) where d is the number of entries whose R_i/Q_i/age
+///   inputs changed since the last extraction, instead of the O(n) full
+///   rescan. How the key is used follows PullPolicy::context_use(): for
+///   entry-only policies the key is the score and the winner sits at the
+///   heap root; for scores scaled by expected_queue_len (Eq. 6) the key is
+///   the score at E[L_pull] = 1, and only the nodes whose key lies within a
+///   2^-40 relative band of the root are rescored and folded.
+///   Context-dependent policies (RxW, LWF, aging) fall back to the scan,
+///   and the heap is built only at the first keyed extraction.
 /// - kScan: the original O(n) linear rescan, kept as the reference engine
 ///   for the differential fuzz oracle and the throughput benchmark.
 ///
-/// Both engines are bit-identical by construction: the tree comparator is
-/// the scan's exact fold condition (higher score wins, ties toward the
-/// lower slot's item id resolved by `item <`), and max over that total
-/// order is associative, so the tree winner equals the left-to-right scan
-/// winner; the band provably holds the scan's winner (DESIGN §13). A NaN
-/// key (where the fold is not associative), or an infinite scaled key,
-/// forces the scan engine for the rest of the policy's tenure.
+/// Both engines are bit-identical by construction: the heap order is the
+/// scan's exact fold condition (higher score wins, ties toward the lower
+/// item id), which is a total order over NaN-free keys, so the heap root
+/// is the left-to-right scan winner; the band provably holds the scan's
+/// winner (DESIGN §13). A NaN key (where the fold is not associative), or
+/// an infinite scaled key, forces the scan engine for the rest of the
+/// policy's tenure.
 class PullQueue {
  public:
   enum class SelectMode { kScan, kIndexed };
@@ -126,8 +128,7 @@ class PullQueue {
   /// The reference selection: the exact legacy left-to-right fold.
   [[nodiscard]] std::size_t select_by_scan(const sched::PullPolicy& policy,
                                            const sched::PullContext& ctx) const;
-  [[nodiscard]] Slot tree_winner(Slot l, Slot r) const noexcept;
-  /// Rekeys the dirty slots (all of them for a new policy).
+  /// Rekeys the dirty slots, or every slot and heapifies for a new policy.
   void refresh_keys(const sched::PullPolicy& policy,
                     const sched::PullContext& ctx,
                     sched::PullPolicy::ContextUse use);
@@ -135,10 +136,27 @@ class PullQueue {
   /// root's key band, or the scan itself outside the bound's ranges.
   [[nodiscard]] std::size_t select_scaled(const sched::PullPolicy& policy,
                                           const sched::PullContext& ctx);
-  /// Rewrites slot's leaf (empty when slot >= size) and its root path.
-  void tree_set_leaf(std::size_t slot);
-  /// (Re)builds the tree with capacity for the current entry count.
-  void rebuild_tree();
+
+  /// A heap node: the slot's cached key and the item that breaks its ties.
+  struct Node {
+    double key;
+    catalog::ItemId item;
+    Slot slot;
+  };
+  /// The scan's fold order: a outranks b when strictly higher, or tied with
+  /// a lower item id.
+  [[nodiscard]] static bool outranks(const Node& a, const Node& b) noexcept {
+    return a.key > b.key || (a.key == b.key && a.item < b.item);
+  }
+  /// The heap is kept only while a keyed policy's keys are cached.
+  [[nodiscard]] bool heap_live() const noexcept {
+    return last_policy_ != nullptr;
+  }
+  void place(std::size_t pos, const Node& node) noexcept;
+  void sift_up(std::size_t pos, Node node) noexcept;
+  void sift_down(std::size_t pos, Node node) noexcept;
+  /// Puts node at pos, then sifts it whichever way it belongs.
+  void sift(std::size_t pos, Node node) noexcept;
 
   SelectMode mode_ = SelectMode::kIndexed;
   std::vector<sched::PullEntry> entries_;
@@ -146,17 +164,16 @@ class PullQueue {
   std::size_t total_requests_ = 0;
   obs::QueueCounters* counters_ = nullptr;
 
-  // Indexed-selection state. scores_ (the cached keys) and is_dirty_
-  // parallel entries_; dirty_ is a stack of slots to rekey
-  // (flag-deduplicated, entries may be stale after swap-removes and are
-  // revalidated on drain). tree_ is a
-  // flat tournament tree: leaves at [cap, 2cap) hold slot ids (kNoSlot
-  // when vacant), tree_[1] is the winning slot.
-  std::vector<double> scores_;
+  // Indexed-selection state, kept only while heap_live(). heap_ is a binary
+  // max-heap under outranks(); pos_ (slot -> heap position) and is_dirty_
+  // parallel entries_. dirty_ is a stack of slots to rekey
+  // (flag-deduplicated; entries may be stale after swap-removes and are
+  // revalidated on drain). A dirty node's key is stale but still ordered,
+  // so every sift stays valid until the drain rekeys it.
+  std::vector<Node> heap_;
+  std::vector<Slot> pos_;
   std::vector<char> is_dirty_;
   std::vector<Slot> dirty_;
-  std::vector<Slot> tree_;
-  std::size_t tree_cap_ = 0;
   std::vector<std::size_t> band_;  // select_scaled's walk stack (reused)
   const sched::PullPolicy* last_policy_ = nullptr;
   bool scan_only_ = false;

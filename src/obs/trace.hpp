@@ -140,8 +140,6 @@ class Tracer {
   Tracer() = default;
   explicit Tracer(TraceSink* sink) : sink_(sink) {}
 
-  [[nodiscard]] bool enabled() const noexcept { return sink_ != nullptr; }
-
   template <Category C>
   void emit(double time, const char* name, std::uint64_t a = 0,
             std::uint64_t b = 0, double v = 0.0) const {

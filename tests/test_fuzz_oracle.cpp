@@ -5,6 +5,7 @@
 // targeted unit tests can miss.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -125,7 +126,7 @@ double draw_queue_len(rng::Xoshiro256ss& eng, double area, double now) {
 /// asserting all three agree after every operation.
 void run_pull_fuzz(const sched::PullPolicy& policy, std::uint64_t seed,
                    int ops) {
-  core::PullQueue fast;  // default engine: indexed (dirty-set + max-tree)
+  core::PullQueue fast;  // default engine: indexed (dirty-set + max-heap)
   core::PullQueue scan(core::PullQueue::SelectMode::kScan);
   ReferencePullQueue oracle;
 
@@ -370,6 +371,93 @@ TEST(PullQueueOracle, PolicySwapsInvalidateCachedScores) {
     if (a.has_value()) {
       ASSERT_EQ(a->item, s->item) << "round " << round;
     }
+  }
+}
+
+TEST(PullQueueOracle, DeepQueueMatchesScan) {
+  // deep-pull's shape: thousands of live entries over 10,000 item ids, so
+  // the heap is 12 levels deep where run_pull_fuzz's 25 ids keep it at 5.
+  // The indexed queue is checked against its kScan twin after every add,
+  // removal, eviction and extraction.
+  constexpr std::uint64_t kItems = 10000;
+  for (const auto kind : {sched::PullPolicyKind::kImportance,
+                          sched::PullPolicyKind::kImportanceQueueAware}) {
+    const auto policy = sched::make_pull_policy(kind, 0.5);
+    core::PullQueue fast;
+    core::PullQueue scan(core::PullQueue::SelectMode::kScan);
+    rng::Xoshiro256ss eng(0xDEE9 + static_cast<std::uint64_t>(kind));
+    std::vector<workload::Request> live;  // may still hold served requests
+    std::vector<char> queued;             // by request id
+    // Takes a random queued request out of `live`, dropping served ones.
+    const auto take_live = [&]() -> std::optional<workload::Request> {
+      while (!live.empty()) {
+        const auto idx =
+            static_cast<std::size_t>(rng::uniform_below(eng, live.size()));
+        const workload::Request r = live[idx];
+        live[idx] = live.back();
+        live.pop_back();
+        if (queued[r.id] != 0) return r;
+      }
+      return std::nullopt;
+    };
+    const auto unqueue = [&](const std::optional<sched::PullEntry>& e) {
+      if (!e.has_value()) return;
+      for (const auto& r : e->pending) queued[r.id] = 0;
+    };
+    double clock = 0.0;
+    double area = 0.0;
+    std::size_t peak = 0;
+    for (int op = 0; op < 30000; ++op) {
+      clock += 0.25;
+      area += 0.25 * static_cast<double>(scan.total_requests());
+      // The first 6,000 ops only add, to reach depth; then the mix holds
+      // about 4,000 live entries.
+      const double dice = op < 6000 ? 0.0 : rng::uniform01(eng);
+      if (dice < 0.6) {
+        workload::Request r;
+        r.id = queued.size();
+        r.item = static_cast<catalog::ItemId>(rng::uniform_below(eng, kItems));
+        r.cls = static_cast<workload::ClassId>(rng::uniform_below(eng, 3));
+        r.arrival = clock;
+        const double priority = static_cast<double>(3 - r.cls);
+        const double length = 1.0 + static_cast<double>(r.item % 5);
+        const double popularity = 1.0 / (1.0 + static_cast<double>(r.item));
+        fast.add(r, priority, length, popularity);
+        scan.add(r, priority, length, popularity);
+        live.push_back(r);
+        queued.push_back(1);
+      } else if (dice < 0.7) {
+        const auto victim = take_live();
+        if (!victim.has_value()) continue;
+        const double priority = static_cast<double>(3 - victim->cls);
+        ASSERT_TRUE(fast.remove_request(victim->item, victim->id, priority));
+        ASSERT_TRUE(scan.remove_request(victim->item, victim->id, priority));
+        queued[victim->id] = 0;
+      } else if (dice < 0.75) {
+        // An item id drawn outright: a live entry about 40% of the time.
+        const auto item =
+            static_cast<catalog::ItemId>(rng::uniform_below(eng, kItems));
+        const auto a = fast.extract(item);
+        const auto b = scan.extract(item);
+        ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
+        unqueue(b);
+      } else {
+        const sched::PullContext ctx{clock, draw_queue_len(eng, area, clock)};
+        const auto a = fast.extract_best(*policy, ctx);
+        const auto b = scan.extract_best(*policy, ctx);
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (a.has_value()) {
+          ASSERT_EQ(a->item, b->item)
+              << "op " << op << " E " << ctx.expected_queue_len;
+          ASSERT_EQ(a->pending.size(), b->pending.size());
+        }
+        unqueue(b);
+      }
+      ASSERT_EQ(fast.total_requests(), scan.total_requests()) << "op " << op;
+      ASSERT_EQ(fast.distinct_items(), scan.distinct_items()) << "op " << op;
+      peak = std::max(peak, fast.distinct_items());
+    }
+    EXPECT_GT(peak, 3000u) << sched::to_string(kind);
   }
 }
 
