@@ -13,8 +13,8 @@
 
 #include "exp/cli.hpp"
 #include "exp/scenario.hpp"
-#include "exp/sweep.hpp"
 #include "exp/table.hpp"
+#include "runtime/sweep.hpp"
 
 namespace pushpull::bench {
 
@@ -43,10 +43,10 @@ void parse_or_exit(int argc, char** argv, Read read) {
   }
 }
 
-/// exp::sweep options for a bench grid: worker count from --jobs, no
+/// runtime::sweep options for a bench grid: worker count from --jobs, no
 /// progress sink (benches print tables, not telemetry).
-inline exp::SweepOptions sweep_options(const BenchOptions& opts) {
-  exp::SweepOptions sweep_opts;
+inline runtime::SweepOptions sweep_options(const BenchOptions& opts) {
+  runtime::SweepOptions sweep_opts;
   sweep_opts.jobs = opts.jobs;
   return sweep_opts;
 }

@@ -6,7 +6,7 @@
 //   figures [--csv] [--requests N] [--seed S] [--jobs N]
 //
 // The first form prints one figure's table; the second prints every figure
-// in index order. Every figure evaluates its grid through exp::sweep, so
+// in index order. Every figure evaluates its grid through runtime::sweep, so
 // --jobs N runs N grid points at once; results are collected in grid order
 // and the output is the same for any N.
 #include <algorithm>
@@ -71,7 +71,7 @@ template <typename Config>
 std::vector<core::SimResult> run_grid(const Run& run,
                                       const exp::Scenario::Built& built,
                                       std::size_t points, Config config) {
-  return exp::sweep(
+  return runtime::sweep(
       points,
       [&](std::size_t i) { return exp::run_hybrid(built, config(i)); },
       sweep_options(run.opts));
@@ -209,7 +209,7 @@ void fig6(const Run& run) {
   for (double theta : {0.20, 0.60, 1.40}) {
     const auto built = paper_scenario(run.opts, theta).build();
     // Each grid point is a full cutoff scan (10 simulations).
-    const auto scans = exp::sweep(
+    const auto scans = runtime::sweep(
         std::size(alphas),
         [&](std::size_t i) {
           return core::scan_cutoffs(5, 100, 10, [&](std::size_t k) {
@@ -449,7 +449,7 @@ void adaptive_drift(const Run& run) {
                     "improvement %", "reopts", "static cost",
                     "adaptive cost"});
   const double epochs[] = {1e9, 2000.0, 800.0, 400.0, 200.0};
-  const auto results = exp::sweep(
+  const auto results = runtime::sweep(
       std::size(epochs),
       [&](std::size_t i) {
         workload::DriftingGenerator gen(cat, pop, 5.0, epochs[i], 33,
@@ -536,7 +536,7 @@ void client_cache(const Run& run) {
     core::SimResult result;
     core::CutoffScan scan;
   };
-  const auto points = exp::sweep(
+  const auto points = runtime::sweep(
       std::size(capacities),
       [&](std::size_t i) {
         workload::CachedRequestGenerator gen(cat, pop, 5.0, std::size_t{60},
@@ -646,7 +646,7 @@ void uplink_contention(const Run& run) {
   aloha.slot_duration = 0.1;
   aloha.retry_probability = 0.1;
   aloha.seed = run.opts.seed;
-  const auto curves = exp::sweep(
+  const auto curves = runtime::sweep(
       std::size(rates),
       [&](std::size_t i) {
         exp::Scenario scenario = paper_scenario(run.opts, 0.60);
@@ -696,7 +696,7 @@ void air_indexing(const Run& run) {
   exp::Table table({"m", "access (model)", "access (sim)", "tuning",
                     "tuning/unindexed", "cycle airtime"});
   const std::size_t copies[] = {1, 2, 4, 6, 8, 12, 16};
-  const auto points = exp::sweep(
+  const auto points = runtime::sweep(
       std::size(copies),
       [&](std::size_t i) {
         const airindex::OneMIndexModel model(cat, 40, ix, copies[i]);
@@ -732,7 +732,7 @@ void burstiness(const Run& run) {
   const double batches[] = {1.0, 2.0, 4.0, 8.0};
   constexpr sched::PullPolicyKind kinds[] = {
       sched::PullPolicyKind::kImportance, sched::PullPolicyKind::kFcfs};
-  const auto results = exp::sweep(
+  const auto results = runtime::sweep(
       std::size(batches),
       [&](std::size_t i) {
         workload::BurstyGenerator gen(cat, pop, 5.0, batches[i],
@@ -774,7 +774,7 @@ void closed_loop(const Run& run) {
   exp::Table table({"clients", "throughput", "delay A", "delay B", "delay C",
                     "A/C ratio"});
   const std::size_t clients[] = {10, 25, 50, 100, 200, 400};
-  const auto results = exp::sweep(
+  const auto results = runtime::sweep(
       std::size(clients),
       [&](std::size_t i) {
         core::HybridConfig config = at(15, 0.25);
@@ -848,7 +848,7 @@ void fault_degradation(const Run& run) {
   // Pure pull (K = 0) behind a drop-tail queue of 8 stresses the bound
   // hardest.
   const double rates[] = {2.0, 4.0, 6.0, 8.0, 10.0};
-  const auto loaded = exp::sweep(
+  const auto loaded = runtime::sweep(
       std::size(rates),
       [&](std::size_t i) {
         exp::Scenario s = scenario;
@@ -968,7 +968,7 @@ void serve_qps(const Run& run) {
     serve::ServeReport report;
     bool exact = false;
   };
-  const auto points = exp::sweep(
+  const auto points = runtime::sweep(
       std::size(loads),
       [&](std::size_t i) {
         const serve::ServeConfig config = live(300.0, loads[i], run.opts.seed);
@@ -1033,7 +1033,7 @@ bool failure_rates_ordered(const std::vector<metrics::ClassStats>& stats) {
 /// low-class timeouts into sheds and rejections on purpose.
 void serve_chaos(const Run& run) {
   const double loads[] = {4.0, 8.0, 14.0, 22.0};
-  const auto reports = exp::sweep(
+  const auto reports = runtime::sweep(
       std::size(loads),
       [&](std::size_t i) {
         serve::ServeConfig config = live(200.0, loads[i], run.opts.seed);
@@ -1088,7 +1088,7 @@ void scenario_sweep(const Run& run) {
     scenario::ShapeSummary shape;
   };
   // Preset-major, intensity-minor point index.
-  const auto cells = exp::sweep(
+  const auto cells = runtime::sweep(
       std::size(presets) * n,
       [&](std::size_t i) {
         exp::Scenario s = paper_scenario(run.opts, 0.60);

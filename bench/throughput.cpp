@@ -5,11 +5,12 @@
 //
 // 1. Hot loop: a combined event-kernel churn — pop/schedule on the pending
 //    set plus a policy-driven pull extraction every 4th slot — run once on
-//    the seed structures (reference binary-heap EventQueue + O(n) scan
-//    PullQueue) and once on the fast ones (indexed event heap + indexed
-//    γ-priority). Both runs fold every popped (time, id) and extracted item
-//    into a checksum, which must match exactly: the speedup only counts
-//    because the observable behavior is identical. Gate: >= 2x events/sec.
+//    the seed structures (des::ReferenceHeap, a binary heap with lazy
+//    cancellation, + the O(n) scan PullQueue) and once on the fast ones
+//    (des::EventQueue's indexed heap + indexed γ-priority). Both runs fold
+//    every popped (time, id) and extracted item into a checksum, which
+//    must match exactly: the speedup only counts because the observable
+//    behavior is identical. Gate: >= 2x events/sec.
 // 2. Trace overhead: one fixed hybrid simulation with observability off vs
 //    on (all categories), timing the run itself — rendering/export happens
 //    at export time, outside the hot loop, which is the point of the binary
@@ -38,6 +39,7 @@
 #include "bench_common.hpp"
 #include "core/pull_queue.hpp"
 #include "des/event_queue.hpp"
+#include "des/reference_heap.hpp"
 #include "exp/scenario.hpp"
 #include "runtime/run_reporter.hpp"
 #include "sched/pull/policy.hpp"
@@ -77,13 +79,13 @@ struct LoopResult {
 
 // The combined kernel churn: `ops` slots of pop + reschedule against a
 // 2048-event pending set, with a pull extraction + re-add against a
-// 768-item queue every 4th slot.
-LoopResult hot_loop(des::EventQueueKind kind, core::PullQueue::SelectMode mode,
-                    std::size_t ops) {
+// 768-item queue every 4th slot, on pending-event set `Queue`.
+template <typename Queue>
+LoopResult hot_loop(core::PullQueue::SelectMode mode, std::size_t ops) {
   constexpr std::size_t kPendingEvents = 2048;
   constexpr std::size_t kPullItems = 768;
 
-  des::EventQueue queue(kind);
+  Queue queue;
   core::PullQueue pull(mode);
   const auto policy = sched::make_pull_policy(sched::PullPolicyKind::kImportance,
                                               0.5);
@@ -131,9 +133,10 @@ LoopResult hot_loop(des::EventQueueKind kind, core::PullQueue::SelectMode mode,
 }
 
 // Event-queue-only churn (telemetry): pop + reschedule.
-LoopResult event_churn(des::EventQueueKind kind, std::size_t ops) {
+template <typename Queue>
+LoopResult event_churn(std::size_t ops) {
   constexpr std::size_t kPending = 4096;
-  des::EventQueue queue(kind);
+  Queue queue;
   Lcg rng;
   des::EventId next_id = 0;
   for (std::size_t i = 0; i < kPending; ++i) {
@@ -217,17 +220,14 @@ int main(int argc, char** argv) {
     scenario.num_requests = args.get_size("requests", scenario.num_requests);
   });
 
-  using des::EventQueueKind;
   using core::PullQueue;
 
   // 1. Combined hot loop, seed vs fast structures.
   const LoopResult hot_seed = min_of(rounds, [&] {
-    return hot_loop(EventQueueKind::kBinaryHeap, PullQueue::SelectMode::kScan,
-                    ops);
+    return hot_loop<des::ReferenceHeap>(PullQueue::SelectMode::kScan, ops);
   });
   const LoopResult hot_fast = min_of(rounds, [&] {
-    return hot_loop(EventQueueKind::kIndexedHeap,
-                    PullQueue::SelectMode::kIndexed, ops);
+    return hot_loop<des::EventQueue>(PullQueue::SelectMode::kIndexed, ops);
   });
   const bool hot_identical = hot_seed.checksum == hot_fast.checksum;
   const double eps_seed = static_cast<double>(ops) / (hot_seed.ms / 1000.0);
@@ -235,12 +235,10 @@ int main(int argc, char** argv) {
   const double speedup = hot_seed.ms / hot_fast.ms;
 
   // 2. Per-structure telemetry.
-  const LoopResult eq_heap = min_of(rounds, [&] {
-    return event_churn(EventQueueKind::kBinaryHeap, ops);
-  });
-  const LoopResult eq_indexed = min_of(rounds, [&] {
-    return event_churn(EventQueueKind::kIndexedHeap, ops);
-  });
+  const LoopResult eq_heap =
+      min_of(rounds, [&] { return event_churn<des::ReferenceHeap>(ops); });
+  const LoopResult eq_indexed =
+      min_of(rounds, [&] { return event_churn<des::EventQueue>(ops); });
   const LoopResult pq_scan = min_of(rounds, [&] {
     return pull_churn(PullQueue::SelectMode::kScan, ops / 4);
   });

@@ -8,7 +8,6 @@
 
 #include "exp/replication.hpp"
 #include "exp/scenario.hpp"
-#include "exp/sweep.hpp"
 #include "exp/table.hpp"
 #include "runtime/runtime.hpp"
 
@@ -46,11 +45,11 @@ int main() {
   const auto built = scenario.build();
   const std::size_t cutoffs[] = {10, 20, 30, 40, 60, 80};
   runtime::RunReporter reporter(std::cerr);
-  exp::SweepOptions sweep_opts;
+  runtime::SweepOptions sweep_opts;
   sweep_opts.jobs = 0;
   sweep_opts.reporter = &reporter;
   sweep_opts.label = "cutoff-sweep";
-  const auto results = exp::sweep(
+  const auto results = runtime::sweep(
       std::size(cutoffs),
       [&](std::size_t i) {
         core::HybridConfig c = config;

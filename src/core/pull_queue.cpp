@@ -24,12 +24,9 @@ void PullQueue::add(const workload::Request& request, double priority,
     entries_.push_back(std::move(entry));
     if (heap_live()) {
       // A placeholder key until the drain rekeys the slot (dirty below).
-      pos_.push_back(0);
       is_dirty_.push_back(0);
-      heap_.emplace_back();
-      sift_up(heap_.size() - 1,
-              Node{-std::numeric_limits<double>::infinity(), request.item,
-                   slot});
+      heap_.push(Node{-std::numeric_limits<double>::infinity(), request.item,
+                      slot});
     }
   }
   auto& entry = entries_[slot];
@@ -78,7 +75,7 @@ std::optional<sched::PullEntry> PullQueue::extract_best(
     if (scan_only_) {
       best = select_by_scan(policy, ctx);
     } else if (use == Use::kEntryOnly) {
-      best = heap_.front().slot;
+      best = heap_.top().slot;
     } else {
       best = select_scaled(policy, ctx);
     }
@@ -107,25 +104,20 @@ void PullQueue::refresh_keys(const sched::PullPolicy& policy,
     scan_only_ = false;
     dirty_.clear();
     is_dirty_.assign(n, 0);
-    pos_.resize(n);
-    heap_.resize(n);
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      pos_[slot] = static_cast<Slot>(slot);
-      heap_[slot] =
-          Node{rekey(slot), entries_[slot].item, static_cast<Slot>(slot)};
-    }
-    for (std::size_t pos = n / 2; pos-- > 0;) sift_down(pos, heap_[pos]);
+    heap_.build(n, [&](std::size_t slot) {
+      return Node{rekey(slot), entries_[slot].item, static_cast<Slot>(slot)};
+    });
     return;
   }
   while (!dirty_.empty()) {
-    const std::size_t slot = dirty_.back();
+    const Slot slot = dirty_.back();
     dirty_.pop_back();
     if (slot >= n || is_dirty_[slot] == 0) continue;  // stale stack entry
     is_dirty_[slot] = 0;
-    const std::size_t pos = pos_[slot];
+    const std::size_t pos = heap_.position(slot);
     Node node = heap_[pos];
     node.key = rekey(slot);
-    sift(pos, node);
+    heap_.rekey(pos, node);
   }
 }
 
@@ -139,7 +131,7 @@ std::size_t PullQueue::select_scaled(const sched::PullPolicy& policy,
   constexpr double kMinKey = 0x1p-896;
   constexpr double kBand = 0x1p-40;
   const double scale = ctx.expected_queue_len;
-  const double top = heap_.front().key;
+  const double top = heap_.top().key;
   if (!(scale >= kMinScale && scale <= 1.0 / kMinScale) ||
       !(top >= kMinKey && top <= 1.0 / kMinKey)) {
     return select_by_scan(policy, ctx);
@@ -177,20 +169,14 @@ std::optional<sched::PullEntry> PullQueue::extract(catalog::ItemId item) {
   if (slot == kNoSlot) return std::nullopt;
   const std::size_t back = entries_.size() - 1;
   if (heap_live()) {
-    // Delete the slot's node: the heap's last node fills the hole and sifts
-    // whichever way it belongs (it may outrank the hole's parent). Then the
-    // back entry moves to `slot`, and its node, which keeps its cached key
-    // and dirty mark, is re-pointed there.
-    const Node last = heap_.back();
-    heap_.pop_back();
-    if (pos_[slot] < heap_.size()) sift(pos_[slot], last);
+    // Delete the slot's node. Then the back entry moves to `slot`, and its
+    // node, which keeps its cached key and dirty mark, is re-pointed there.
+    heap_.erase(heap_.position(slot));
     if (slot != back) {
-      pos_[slot] = pos_[back];
-      heap_[pos_[slot]].slot = slot;
+      heap_.repoint(static_cast<Slot>(back), slot);
       if (is_dirty_[back] != 0 && is_dirty_[slot] == 0) dirty_.push_back(slot);
       is_dirty_[slot] = is_dirty_[back];
     }
-    pos_.pop_back();
     is_dirty_.pop_back();
   }
   sched::PullEntry out = std::move(entries_[slot]);
@@ -258,40 +244,6 @@ void PullQueue::mark_dirty(std::size_t slot) {
   if (heap_live() && is_dirty_[slot] == 0) {
     is_dirty_[slot] = 1;
     dirty_.push_back(static_cast<Slot>(slot));
-  }
-}
-
-void PullQueue::place(std::size_t pos, const Node& node) noexcept {
-  heap_[pos] = node;
-  pos_[node.slot] = static_cast<Slot>(pos);
-}
-
-void PullQueue::sift_up(std::size_t pos, Node node) noexcept {
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!outranks(node, heap_[parent])) break;
-    place(pos, heap_[parent]);
-    pos = parent;
-  }
-  place(pos, node);
-}
-
-void PullQueue::sift_down(std::size_t pos, Node node) noexcept {
-  const std::size_t n = heap_.size();
-  for (std::size_t child = 2 * pos + 1; child < n; child = 2 * pos + 1) {
-    if (child + 1 < n && outranks(heap_[child + 1], heap_[child])) ++child;
-    if (!outranks(heap_[child], node)) break;
-    place(pos, heap_[child]);
-    pos = child;
-  }
-  place(pos, node);
-}
-
-void PullQueue::sift(std::size_t pos, Node node) noexcept {
-  if (pos > 0 && outranks(node, heap_[(pos - 1) / 2])) {
-    sift_up(pos, node);
-  } else {
-    sift_down(pos, node);
   }
 }
 

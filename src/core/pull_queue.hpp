@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "des/indexed_heap.hpp"
 #include "obs/counters.hpp"
 #include "sched/pull/entry.hpp"
 #include "sched/pull/policy.hpp"
@@ -24,7 +25,7 @@ namespace pushpull::core {
 /// engines:
 ///
 /// - kIndexed (default): a cached key per entry in an indexed binary
-///   max-heap of {key, item, slot} nodes, with a slot→position index.
+///   max-heap (des::IndexedHeap) of {key, item, slot} nodes.
 ///   Mutations (add / extract / remove_request) mark the touched slot
 ///   dirty; extraction rekeys only dirty slots in place and sifts each up
 ///   or down — O(d·log n) where d is the number of entries whose R_i/Q_i/age
@@ -145,18 +146,15 @@ class PullQueue {
   };
   /// The scan's fold order: a outranks b when strictly higher, or tied with
   /// a lower item id.
-  [[nodiscard]] static bool outranks(const Node& a, const Node& b) noexcept {
-    return a.key > b.key || (a.key == b.key && a.item < b.item);
-  }
+  struct Outranks {
+    [[nodiscard]] bool operator()(const Node& a, const Node& b) const noexcept {
+      return a.key > b.key || (a.key == b.key && a.item < b.item);
+    }
+  };
   /// The heap is kept only while a keyed policy's keys are cached.
   [[nodiscard]] bool heap_live() const noexcept {
     return last_policy_ != nullptr;
   }
-  void place(std::size_t pos, const Node& node) noexcept;
-  void sift_up(std::size_t pos, Node node) noexcept;
-  void sift_down(std::size_t pos, Node node) noexcept;
-  /// Puts node at pos, then sifts it whichever way it belongs.
-  void sift(std::size_t pos, Node node) noexcept;
 
   SelectMode mode_ = SelectMode::kIndexed;
   std::vector<sched::PullEntry> entries_;
@@ -164,14 +162,12 @@ class PullQueue {
   std::size_t total_requests_ = 0;
   obs::QueueCounters* counters_ = nullptr;
 
-  // Indexed-selection state, kept only while heap_live(). heap_ is a binary
-  // max-heap under outranks(); pos_ (slot -> heap position) and is_dirty_
-  // parallel entries_. dirty_ is a stack of slots to rekey
-  // (flag-deduplicated; entries may be stale after swap-removes and are
-  // revalidated on drain). A dirty node's key is stale but still ordered,
-  // so every sift stays valid until the drain rekeys it.
-  std::vector<Node> heap_;
-  std::vector<Slot> pos_;
+  // Indexed-selection state, kept only while heap_live(). heap_ holds one
+  // node per entry; is_dirty_ parallels entries_. dirty_ is a stack of
+  // slots to rekey (flag-deduplicated; entries may be stale after
+  // swap-removes and are revalidated on drain). A dirty node's key is stale
+  // but still ordered, so every sift stays valid until the drain rekeys it.
+  des::IndexedHeap<Node, Outranks> heap_;
   std::vector<char> is_dirty_;
   std::vector<Slot> dirty_;
   std::vector<std::size_t> band_;  // select_scaled's walk stack (reused)

@@ -8,12 +8,13 @@
 
 namespace pushpull::des {
 
-/// The reference pending-event set behind EventQueueKind::kBinaryHeap: a
-/// binary min-heap of whole Events on (time, id) with lazy cancellation.
-/// Cancelled events stay in the heap and are skipped when they surface,
-/// with the cancelled-id set purged as they do. O(log n) per operation and
-/// trivially correct; the differential suite in
-/// tests/test_event_queue_diff.cpp holds the indexed heap to it.
+/// The seed pending-event set, kept as the reference for des::EventQueue,
+/// with the same interface: a binary min-heap of whole Events on (time, id)
+/// with lazy cancellation. Cancelled events stay in the heap and are
+/// skipped when they surface, with the cancelled-id set purged as they do.
+/// O(log n) per operation and trivially correct; the differential suite in
+/// tests/test_event_queue_diff.cpp holds EventQueue to it, and
+/// bench/throughput times it as the seed structure.
 class ReferenceHeap {
  public:
   [[nodiscard]] bool empty() const noexcept { return live_count_ == 0; }

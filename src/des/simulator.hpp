@@ -35,12 +35,6 @@ class Simulator {
  public:
   static constexpr SimTime kForever = std::numeric_limits<SimTime>::infinity();
 
-  Simulator() = default;
-  /// Selects the pending-event-set backend (see EventQueueKind). The
-  /// default indexed heap is the production queue; kBinaryHeap is the
-  /// reference, with bit-identical dispatch order.
-  explicit Simulator(EventQueueKind kind) : queue_(kind) {}
-
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   /// Time of the earliest pending event, the arrival stream's head
   /// included; kForever when nothing is pending.

@@ -5,10 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exp/sweep.hpp"
 #include "metrics/float_compare.hpp"
 #include "rng/splitmix64.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/sweep.hpp"
 
 namespace pushpull::exp {
 
@@ -173,7 +173,7 @@ ChaosSummary run_chaos(const Scenario& scenario,
   }
   scenario.validate();
   config.resilience.validate();
-  const std::vector<ChaosPartial> partials = sweep(
+  const std::vector<ChaosPartial> partials = runtime::sweep(
       options.replications,
       [&](std::size_t rep) { return run_one(scenario, config, options, rep); },
       {.jobs = scenario.jobs, .reporter = options.reporter, .label = "chaos"});

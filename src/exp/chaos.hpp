@@ -88,8 +88,8 @@ struct ChaosSummary {
 /// Runs the chaos harness: `options.replications` independent replications
 /// of (scenario, config) with the spike applied, pooling results and
 /// running the invariant suite on every replication. The replications fan
-/// out through exp::sweep (label "chaos") on `scenario.jobs` workers; the
-/// numbers never depend on it, since seeds derive from the replication
+/// out through runtime::sweep (label "chaos") on `scenario.jobs` workers;
+/// the numbers never depend on it, since seeds derive from the replication
 /// index and results merge in index order.
 [[nodiscard]] ChaosSummary run_chaos(const Scenario& scenario,
                                      const core::HybridConfig& config,

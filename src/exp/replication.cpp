@@ -6,9 +6,9 @@
 #include <string>
 #include <utility>
 
-#include "exp/sweep.hpp"
 #include "obs/export.hpp"
 #include "rng/splitmix64.hpp"
+#include "runtime/sweep.hpp"
 
 namespace pushpull::exp {
 
@@ -266,7 +266,7 @@ ReplicationSummary replicate_hybrid(const Scenario& scenario,
     options.reporter->run_context(kReplicationSchema, fingerprint);
   }
   const bool tracing = options.obs.enabled;
-  const std::vector<RepPartial> partials = sweep(
+  const std::vector<RepPartial> partials = runtime::sweep(
       replications,
       [&](std::size_t rep) {
         if (options.resume) {

@@ -82,7 +82,7 @@ struct ReplicateOptions {
 /// Runs `replications` independent copies of (scenario, config), varying
 /// both the workload seed and the server seed, and pools the results.
 /// This is how EXPERIMENTS.md distinguishes real effects from seed noise.
-/// The replications fan out through exp::sweep (label "replicate") on
+/// The replications fan out through runtime::sweep (label "replicate") on
 /// `scenario.jobs` workers (default 1 = serial, 0 = one per hardware
 /// thread); `options` adds the progress sink, resume and tracing.
 [[nodiscard]] ReplicationSummary replicate_hybrid(

@@ -1,7 +1,7 @@
 #pragma once
 
 /// Umbrella header for the execution runtime: bounded thread pool,
-/// deterministic ordered fan-out (parallel_map / parallel_for / serial_map)
+/// deterministic ordered fan-out (sweep, over parallel_map / serial_map)
 /// and the JSONL progress reporter.
 ///
 /// Determinism contract: every job derives its randomness from its own job
@@ -12,6 +12,6 @@
 
 #include "runtime/checkpoint.hpp"      // IWYU pragma: export
 #include "runtime/job_result.hpp"      // IWYU pragma: export
-#include "runtime/parallel_for.hpp"    // IWYU pragma: export
 #include "runtime/run_reporter.hpp"    // IWYU pragma: export
+#include "runtime/sweep.hpp"           // IWYU pragma: export
 #include "runtime/thread_pool.hpp"     // IWYU pragma: export

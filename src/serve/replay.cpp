@@ -6,8 +6,7 @@
 #include "core/hybrid_server.hpp"
 #include "obs/export.hpp"
 #include "rng/splitmix64.hpp"
-#include "runtime/parallel_for.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/sweep.hpp"
 
 namespace pushpull::serve {
 
@@ -38,11 +37,7 @@ std::vector<core::SimResult> replay(const RecordedRun& run,
     return server.run(trace.requests(), run.config.drain_after, nullptr);
   };
 
-  if (options.jobs == 1 || options.reps == 1) {
-    return runtime::serial_map(options.reps, run_one);
-  }
-  runtime::ThreadPool pool(options.jobs);
-  return runtime::parallel_map(pool, options.reps, run_one);
+  return runtime::sweep(options.reps, run_one, {.jobs = options.jobs});
 }
 
 std::string render_replay_report(const RecordedRun& run,

@@ -19,8 +19,8 @@ struct ReplayOptions {
   /// server seed, isolating scheduler-side randomness (bandwidth demands)
   /// from the frozen workload.
   std::size_t reps = 1;
-  /// 1 = serial on the calling thread, 0 = hardware concurrency, N = N
-  /// workers.
+  /// Workers for runtime::sweep: 1 = serial on the calling thread, 0 = one
+  /// per hardware thread, N = N workers (clamped to `reps`).
   std::size_t jobs = 1;
 };
 

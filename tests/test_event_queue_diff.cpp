@@ -1,6 +1,6 @@
-// Differential suite proving the indexed-heap EventQueue (the default
-// backend) is observably identical to the kBinaryHeap reference: same pop
-// sequence (time AND id), same next_time() and next_id() at every step,
+// Differential suite proving the indexed-heap EventQueue is observably
+// identical to des::ReferenceHeap, the seed structure: same pop sequence
+// (time AND id), same next_time() and next_id() at every step,
 // same size/empty, same cancel results — over 1000 seeded random schedules
 // exercising bursty times, duplicate timestamps, interleaved
 // cancellations, far-future jumps, and clear/reuse. Eager cancellation
@@ -17,14 +17,15 @@
 
 #include "des/event_queue.hpp"
 #include "des/id_map.hpp"
+#include "des/reference_heap.hpp"
 #include "rng/uniform.hpp"
 #include "rng/xoshiro256ss.hpp"
 
 namespace pushpull::des {
 namespace {
 
-/// Asserts every observable query agrees between the two backends.
-void expect_agree(const EventQueue& ref, const EventQueue& idx,
+/// Asserts every observable query agrees between the two queues.
+void expect_agree(const ReferenceHeap& ref, const EventQueue& idx,
                   std::uint64_t seed, std::size_t step) {
   ASSERT_EQ(ref.empty(), idx.empty()) << "seed " << seed << " step " << step;
   ASSERT_EQ(ref.size(), idx.size()) << "seed " << seed << " step " << step;
@@ -36,8 +37,8 @@ void expect_agree(const EventQueue& ref, const EventQueue& idx,
   }
 }
 
-/// Pops one event from each backend and asserts they agree.
-void expect_same_pop(EventQueue& ref, EventQueue& idx, std::uint64_t seed,
+/// Pops one event from each queue and asserts they agree.
+void expect_same_pop(ReferenceHeap& ref, EventQueue& idx, std::uint64_t seed,
                      std::size_t step) {
   const Event a = ref.pop();
   const Event b = idx.pop();
@@ -47,10 +48,10 @@ void expect_same_pop(EventQueue& ref, EventQueue& idx, std::uint64_t seed,
 
 /// One random schedule: pushes with bursty/duplicate/sparse times,
 /// interleaved pops, cancels and the occasional clear, comparing the
-/// backends after every operation.
+/// queues after every operation.
 void run_schedule(std::uint64_t seed, std::size_t ops) {
   rng::Xoshiro256ss eng(seed);
-  EventQueue ref(EventQueueKind::kBinaryHeap);
+  ReferenceHeap ref;
   EventQueue idx;
   EventId next_id = 1;
   std::vector<EventId> live;  // superset: may contain fired/cancelled ids
@@ -148,34 +149,40 @@ TEST(EventQueueDiff, CancelOfCurrentMinimumAdvances) {
   EXPECT_TRUE(q.empty());
 }
 
+template <typename Queue>
+void expect_duplicate_id_throws() {
+  Queue q;
+  q.push(Event{1.0, 7, [] {}});
+  EXPECT_THROW(q.push(Event{2.0, 7, [] {}}), std::logic_error);
+  // The rejected push left the queue as it was.
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.pop().time, 1.0);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueueDiff, DuplicateIdThrowsLikeHeap) {
-  for (const EventQueueKind kind :
-       {EventQueueKind::kIndexedHeap, EventQueueKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    q.push(Event{1.0, 7, [] {}});
-    EXPECT_THROW(q.push(Event{2.0, 7, [] {}}), std::logic_error);
-    // The rejected push left the queue as it was.
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.pop().time, 1.0);
-    EXPECT_TRUE(q.empty());
-  }
+  expect_duplicate_id_throws<EventQueue>();
+  expect_duplicate_id_throws<ReferenceHeap>();
+}
+
+template <typename Queue>
+void expect_empty_queries_throw() {
+  Queue q;
+  EXPECT_THROW((void)q.pop(), std::logic_error);
+  EXPECT_THROW((void)q.next_time(), std::logic_error);
+  EXPECT_THROW((void)q.next_id(), std::logic_error);
+  q.push(Event{1.0, 1, [] {}});
+  (void)q.pop();
+  EXPECT_THROW((void)q.pop(), std::logic_error);
+  EXPECT_THROW((void)q.next_id(), std::logic_error);
+  q.push(Event{2.0, 2, [] {}});
+  ASSERT_TRUE(q.cancel(2));
+  EXPECT_THROW((void)q.next_time(), std::logic_error);
 }
 
 TEST(EventQueueDiff, EmptyPopAndNextTimeThrowLikeHeap) {
-  for (const EventQueueKind kind :
-       {EventQueueKind::kIndexedHeap, EventQueueKind::kBinaryHeap}) {
-    EventQueue q(kind);
-    EXPECT_THROW((void)q.pop(), std::logic_error);
-    EXPECT_THROW((void)q.next_time(), std::logic_error);
-    EXPECT_THROW((void)q.next_id(), std::logic_error);
-    q.push(Event{1.0, 1, [] {}});
-    (void)q.pop();
-    EXPECT_THROW((void)q.pop(), std::logic_error);
-    EXPECT_THROW((void)q.next_id(), std::logic_error);
-    q.push(Event{2.0, 2, [] {}});
-    ASSERT_TRUE(q.cancel(2));
-    EXPECT_THROW((void)q.next_time(), std::logic_error);
-  }
+  expect_empty_queries_throw<EventQueue>();
+  expect_empty_queries_throw<ReferenceHeap>();
 }
 
 TEST(EventQueueDiff, InfiniteTimesLandInOverflowAndStillOrder) {
@@ -226,7 +233,7 @@ TEST(EventQueueDiff, MovedFromQueueIsEmptyAndReusable) {
 TEST(EventQueueDiff, CancelTheLastKey) {
   // Increasing times keep every key where it was appended, so the newest
   // id's key is the heap's last: removing it needs no refill.
-  EventQueue ref(EventQueueKind::kBinaryHeap);
+  ReferenceHeap ref;
   EventQueue idx;
   for (EventId id = 1; id <= 9; ++id) {
     ref.push(Event{static_cast<SimTime>(id), id, [] {}});
@@ -246,7 +253,7 @@ TEST(EventQueueDiff, CancelTheLastKey) {
 
 TEST(EventQueueDiff, CancelEveryPendingEventInReverseOrder) {
   rng::Xoshiro256ss eng(77);
-  EventQueue ref(EventQueueKind::kBinaryHeap);
+  ReferenceHeap ref;
   EventQueue idx;
   constexpr EventId kCount = 500;
   for (EventId id = 1; id <= kCount; ++id) {
@@ -295,10 +302,10 @@ TEST(EventQueueDiff, ReusedSlotNeverRevivesTheOldId) {
 
 TEST(EventQueueDiff, IdMapGrowsAndShrinksAcrossManyCancels) {
   // Waves of pushes grow the pending set (and the id map) to thousands,
-  // then seeded cancels and pops shrink it back; the backends must agree
+  // then seeded cancels and pops shrink it back; the queues must agree
   // throughout.
   rng::Xoshiro256ss eng(4242);
-  EventQueue ref(EventQueueKind::kBinaryHeap);
+  ReferenceHeap ref;
   EventQueue idx;
   EventId next_id = 1;
   std::vector<EventId> pending;

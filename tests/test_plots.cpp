@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "exp/plots.hpp"
 
@@ -17,13 +18,18 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+/// Each case writes its own files under the test temp directory, named
+/// after the running test, so cases run in parallel (ctest -j) never read
+/// or delete each other's output.
 class PlotsTest : public ::testing::Test {
  protected:
   void TearDown() override {
     std::remove((prefix_ + ".dat").c_str());
     std::remove((prefix_ + ".gp").c_str());
   }
-  std::string prefix_ = "test_plot_output";
+  std::string prefix_ =
+      ::testing::TempDir() + "test_plot_output_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
 };
 
 TEST_F(PlotsTest, RejectsEmptySpec) {

@@ -32,16 +32,17 @@ TEST(ThreadPool, RunsSubmittedJobs) {
   std::atomic<int> hits{0};
   {
     ThreadPool pool(4);
-    parallel_for(pool, 100, [&](std::size_t) { ++hits; });
+    (void)parallel_map(pool, 100, [&](std::size_t) { return ++hits; });
   }
   EXPECT_EQ(hits.load(), 100);
 }
 
-TEST(ParallelFor, EachIndexRunsExactlyOnce) {
+TEST(ParallelMap, EachIndexRunsExactlyOnce) {
   std::vector<int> counts(500, 0);
   ThreadPool pool(8);
   // Per-slot writes only — no shared mutation.
-  parallel_for(pool, counts.size(), [&](std::size_t i) { counts[i] += 1; });
+  (void)parallel_map(pool, counts.size(),
+                     [&](std::size_t i) { return counts[i] += 1; });
   for (const int c : counts) EXPECT_EQ(c, 1);
 }
 
@@ -144,8 +145,8 @@ TEST(RunReporter, ReportsFromParallelWorkersWithoutTearing) {
   std::ostringstream sink;
   RunReporter reporter(sink);
   ThreadPool pool(8);
-  parallel_for(
-      pool, 64, [](std::size_t) {}, &reporter);
+  (void)parallel_map(
+      pool, 64, [](std::size_t i) { return i; }, &reporter);
   std::istringstream lines(sink.str());
   std::size_t count = 0;
   for (std::string line; std::getline(lines, line);) {

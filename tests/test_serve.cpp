@@ -351,12 +351,18 @@ TEST(Replay, RoundTripIsByteIdenticalAndJobsInvariant) {
   ReplayOptions parallel;
   parallel.reps = 3;
   parallel.jobs = 4;
+  ReplayOptions per_hardware_thread;
+  per_hardware_thread.reps = 3;
+  per_hardware_thread.jobs = 0;
 
   const std::string a = render_replay_report(run1, replay(run1, serial));
   const std::string b = render_replay_report(run2, replay(run2, serial));
   const std::string c = render_replay_report(run1, replay(run1, parallel));
+  const std::string d =
+      render_replay_report(run1, replay(run1, per_hardware_thread));
   EXPECT_EQ(a, b);  // replaying the same bytes twice is byte-identical
   EXPECT_EQ(a, c);  // the worker count is invisible in the numbers
+  EXPECT_EQ(a, d);
   EXPECT_FALSE(a.empty());
 }
 
