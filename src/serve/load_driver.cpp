@@ -36,7 +36,7 @@ void LoadDriver::run_realtime(CompletionQueue& queue, Clock& clock,
   // Round-robin sharding: pacer p owns plan indices p, p+pacers, ... Each
   // shard's arrivals are in planned order, so a single pacer reproduces the
   // plan's order exactly; multiple pacers may interleave at the queue, which
-  // is why replay sorts by (arrival, id) before rebuilding a Trace.
+  // is why load_trace sorts the recording by (arrival, id).
   std::vector<std::thread> threads;
   threads.reserve(pacers);
   for (std::size_t p = 0; p < pacers; ++p) {

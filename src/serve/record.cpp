@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <charconv>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <system_error>
 
 #include "obs/export.hpp"
 
@@ -465,7 +467,17 @@ void TraceRecorder::finish() { seal(ConservationLedger{}); }
 
 TraceRecorder::~TraceRecorder() { finish(); }
 
-RecordedRun load_trace(std::istream& in) {
+namespace {
+
+/// The fewest bytes of one request frame the decoder accepts: 8 hex digits,
+/// a space, `"t":0,"id":0,"item":0,"cls":0` and a newline. The recorder's
+/// smallest frame also has the braces (41 bytes); the decoder finds fields
+/// by key and does not require them.
+constexpr std::size_t kMinRequestFrameBytes = 39;
+
+/// load_trace, with the request buffer reserved for `max_requests` before
+/// decoding (0: grown as requests arrive).
+RecordedRun decode_trace(std::istream& in, std::size_t max_requests) {
   const int first = in.peek();
   if (first == std::istream::traits_type::eof()) {
     throw std::runtime_error("serve trace: empty input (no header record)");
@@ -487,6 +499,7 @@ RecordedRun load_trace(std::istream& in) {
   // rest of the framing.
   std::exception_ptr payload_error;
   RecordedRun run;
+  run.requests.reserve(max_requests);
   try {
     run.config = config_from_header(*header);
   } catch (const std::runtime_error&) {
@@ -526,12 +539,24 @@ RecordedRun load_trace(std::istream& in) {
   return run;
 }
 
+}  // namespace
+
+RecordedRun load_trace(std::istream& in) { return decode_trace(in, 0); }
+
 RecordedRun load_trace_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("serve trace: cannot open \"" + path + "\"");
   }
-  return load_trace(in);
+  // Every decoded request has its own frame of at least
+  // kMinRequestFrameBytes, so the file's length bounds the request count
+  // whatever its length prefixes and footer claim. The buffer is reserved
+  // for that bound once: the decode never regrows it, and the address
+  // space past the decoded requests is never touched, so it never becomes
+  // resident. A length that cannot be read (a pipe) reserves nothing.
+  std::error_code error;
+  const std::uintmax_t bytes = std::filesystem::file_size(path, error);
+  return decode_trace(in, error ? 0 : bytes / kMinRequestFrameBytes);
 }
 
 RecoveredRun recover_trace(std::istream& in) {

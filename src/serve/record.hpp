@@ -91,7 +91,7 @@ class TraceRecorder {
 
 /// A parsed serve trace: the run's configuration plus its request log,
 /// sorted by (arrival, id) — realtime pacer threads can interleave posts,
-/// and workload::Trace requires sorted arrivals.
+/// and replay() and trace() require sorted arrivals.
 struct RecordedRun {
   ServeConfig config;
   std::vector<workload::Request> requests;

@@ -1,5 +1,7 @@
 #include "serve/replay.hpp"
 
+#include <algorithm>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -19,7 +21,17 @@ std::vector<core::SimResult> replay(const RecordedRun& run,
   }
   const catalog::Catalog cat = run.config.build_catalog();
   const workload::ClientPopulation pop = run.config.build_population();
-  const workload::Trace trace = run.trace();
+  // The engine streams the recording in place, so the arrival order a
+  // workload::Trace would check on construction is checked here, once.
+  const std::span<const workload::Request> requests = run.requests;
+  if (!std::is_sorted(requests.begin(), requests.end(),
+                      [](const workload::Request& a,
+                         const workload::Request& b) {
+                        return a.arrival < b.arrival;
+                      })) {
+    throw std::invalid_argument(
+        "serve::replay: recorded arrivals must be non-decreasing");
+  }
 
   auto run_one = [&](std::size_t rep) -> core::SimResult {
     // Same decorrelation idiom as exp::replicate_hybrid — but only the
@@ -34,7 +46,7 @@ std::vector<core::SimResult> replay(const RecordedRun& run,
     // A drained recording holds only the arrivals admitted before the
     // drain, so the engine drains at the same instant with nothing left to
     // skip.
-    return server.run(trace.requests(), run.config.drain_after, nullptr);
+    return server.run(requests, run.config.drain_after, nullptr);
   };
 
   return runtime::sweep(options.reps, run_one, {.jobs = options.jobs});

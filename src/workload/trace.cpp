@@ -8,21 +8,31 @@
 
 namespace pushpull::workload {
 
-Trace::Trace(std::vector<Request> requests) : requests_(std::move(requests)) {
-  for (std::size_t i = 1; i < requests_.size(); ++i) {
-    if (requests_[i].arrival < requests_[i - 1].arrival) {
+Trace::Trace(std::vector<Request> requests) {
+  for (std::size_t i = 1; i < requests.size(); ++i) {
+    if (requests[i].arrival < requests[i - 1].arrival) {
       throw std::invalid_argument("Trace: arrivals must be non-decreasing");
     }
   }
+  requests_ = std::make_shared<std::vector<Request>>(std::move(requests));
+}
+
+std::vector<Request> Trace::release() && {
+  const std::shared_ptr<std::vector<Request>> held = std::move(requests_);
+  if (!held) return {};
+  // The sole holder moves the buffer out; a shared buffer stays with its
+  // other holders, which still read it.
+  if (held.use_count() == 1) return std::move(*held);
+  return *held;
 }
 
 des::SimTime Trace::span() const noexcept {
-  return requests_.empty() ? 0.0 : requests_.back().arrival;
+  return empty() ? 0.0 : requests_->back().arrival;
 }
 
 void Trace::save_csv(std::ostream& out) const {
   out << "id,arrival,item,class\n";
-  for (const auto& r : requests_) {
+  for (const Request& r : requests()) {
     out << r.id << ',' << r.arrival << ',' << r.item << ',' << r.cls << '\n';
   }
 }

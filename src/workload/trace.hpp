@@ -1,7 +1,10 @@
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -13,6 +16,11 @@ namespace pushpull::workload {
 /// A recorded request sequence, usable to replay the exact same workload
 /// against different scheduler configurations (the basis of every paired
 /// comparison in bench/ and of trace-driven examples).
+///
+/// The requests live in one shared immutable buffer: copying a Trace shares
+/// it instead of copying the requests, and nothing writes to it after
+/// construction. release() hands the buffer over when this Trace is its
+/// only holder.
 class Trace {
  public:
   Trace() = default;
@@ -28,11 +36,22 @@ class Trace {
     return Trace(std::move(reqs));
   }
 
-  /// Records requests until the arrival clock passes `horizon`.
+  /// Records requests until the arrival clock passes `horizon` from a
+  /// source that also reports its arrival_rate(). The buffer is reserved
+  /// once for the Poisson count's upper tail, λT + 8·√(λT), so it never
+  /// grows by doubling.
   template <typename Generator>
   [[nodiscard]] static Trace record_until(Generator& gen,
                                           des::SimTime horizon) {
     std::vector<Request> reqs;
+    const double mean = gen.arrival_rate() * horizon;
+    if (mean > 0.0) {
+      // Clamped so the conversion is defined; an absurd horizon then fails
+      // in reserve() instead of generating until memory runs out.
+      const double tail = mean + 8.0 * std::sqrt(mean);
+      reqs.reserve(static_cast<std::size_t>(
+          std::min(tail, static_cast<double>(reqs.max_size()))));
+    }
     for (;;) {
       Request req = gen.next();
       if (req.arrival > horizon) break;
@@ -41,21 +60,23 @@ class Trace {
     return Trace(std::move(reqs));
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return requests_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return requests_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return requests_ ? requests_->size() : 0;
+  }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
   [[nodiscard]] std::span<const Request> requests() const noexcept {
-    return requests_;
+    if (!requests_) return {};
+    return *requests_;
   }
   [[nodiscard]] const Request& operator[](std::size_t i) const noexcept {
-    return requests_[i];
+    return (*requests_)[i];
   }
 
   /// Hands the request vector over and leaves the trace empty, so a
   /// consumer that rewrites every request (scenario::shape_trace) reuses
-  /// this buffer instead of copying it.
-  [[nodiscard]] std::vector<Request> release() && {
-    return std::move(requests_);
-  }
+  /// this buffer instead of copying it. When another Trace shares the
+  /// buffer, that holder keeps it and this one returns a copy.
+  [[nodiscard]] std::vector<Request> release() &&;
 
   /// Arrival time of the last request (0 for an empty trace).
   [[nodiscard]] des::SimTime span() const noexcept;
@@ -67,7 +88,8 @@ class Trace {
   [[nodiscard]] static Trace load_csv(std::istream& in);
 
  private:
-  std::vector<Request> requests_;
+  /// Null for a default-constructed or moved-from trace.
+  std::shared_ptr<std::vector<Request>> requests_;
 };
 
 }  // namespace pushpull::workload

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -15,10 +16,15 @@ inline std::atomic<bool> g_counting{false};
 inline std::atomic<std::size_t> g_news{0};
 inline std::atomic<std::size_t> g_deletes{0};
 inline std::atomic<std::size_t> g_largest{0};
+inline std::atomic<std::size_t> g_large_at{0};
+inline std::atomic<std::size_t> g_large{0};
 
 inline void* counted_malloc(std::size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_news.fetch_add(1, std::memory_order_relaxed);
+    if (size >= g_large_at.load(std::memory_order_relaxed)) {
+      g_large.fetch_add(1, std::memory_order_relaxed);
+    }
     std::size_t largest = g_largest.load(std::memory_order_relaxed);
     while (size > largest &&
            !g_largest.compare_exchange_weak(largest, size,
@@ -40,13 +46,16 @@ inline void counted_delete(void* p) noexcept {
   std::free(p);
 }
 
-/// Counts the allocations made while it is alive.
+/// Counts the allocations made while it is alive, and separately those of
+/// at least `large_at` bytes.
 class AllocationCount {
  public:
-  AllocationCount() {
+  explicit AllocationCount(std::size_t large_at = SIZE_MAX) {
     g_news = 0;
     g_deletes = 0;
     g_largest = 0;
+    g_large_at = large_at;
+    g_large = 0;
     g_counting = true;
   }
   ~AllocationCount() { g_counting = false; }
@@ -56,6 +65,8 @@ class AllocationCount {
   [[nodiscard]] std::size_t news() const { return g_news; }
   [[nodiscard]] std::size_t deletes() const { return g_deletes; }
   [[nodiscard]] std::size_t largest() const { return g_largest; }
+  /// Allocations of at least the constructor's `large_at` bytes.
+  [[nodiscard]] std::size_t large() const { return g_large; }
 };
 
 }  // namespace pushpull::alloc_count

@@ -1,13 +1,17 @@
-// Allocation tests for the sv2 journal codec, in their own binary because
-// they replace the global operator new and operator delete with counting
-// versions: recording a record allocates nothing once the recorder is warm,
-// and a corrupt length prefix never sizes an allocation in the reader.
+// Allocation tests for the sv2 journal codec and the serve path's request
+// buffers, in their own binary because they replace the global operator new
+// and operator delete with counting versions: recording a record allocates
+// nothing once the recorder is warm, a corrupt length prefix never sizes an
+// allocation in the reader, and every serve stage (plan, record, load,
+// replay) holds one copy of the requests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <vector>
 
 #include "counting_new.hpp"
 #include "serve/serve.hpp"
@@ -125,6 +129,112 @@ TEST(JournalAlloc, ACorruptLengthPrefixNeverSizesAnAllocation) {
 }
 
 #endif  // PUSHPULL_GOLDEN_DIR
+
+// ---------------------------------------------------------------------------
+// One request buffer per serve stage
+// ---------------------------------------------------------------------------
+
+/// Accelerated serve defaults over 4,000 broadcast units: about 20,000
+/// requests, so a request buffer (about 480 KB) dwarfs every other block
+/// the stages allocate, the journal reader's 64 KiB buffer included.
+ServeConfig buffer_config() {
+  ServeConfig c;
+  c.accelerated = true;
+  c.duration = 4000.0;
+  return c;
+}
+
+constexpr std::size_t kRequestBytes = sizeof(workload::Request);
+
+TEST(RequestBuffer, CopyingATraceSharesItsBuffer) {
+  const ServeConfig config = buffer_config();
+  const auto cat = config.build_catalog();
+  const auto pop = config.build_population();
+  const LoadDriver driver(cat, pop, config.target_qps, config.duration,
+                          config.seed);
+  const workload::Trace& plan = driver.plan();
+  ASSERT_GT(plan.size(), 10000u);
+  std::size_t news = 0;
+  {
+    const AllocationCount count;
+    const workload::Trace copy = plan;
+    const LoadDriver replanned(plan);
+    news = count.news();
+    EXPECT_EQ(copy.requests().data(), plan.requests().data());
+    EXPECT_EQ(replanned.plan().requests().data(), plan.requests().data());
+  }
+  EXPECT_EQ(news, 0u);
+}
+
+TEST(RequestBuffer, LoadDriverSynthesisAllocatesItsPlanOnce) {
+  const ServeConfig config = buffer_config();
+  const auto cat = config.build_catalog();
+  const auto pop = config.build_population();
+  // A plan grown by doubling allocates its last two buffers at half the
+  // final size or more; one reserved for the Poisson tail allocates one.
+  const std::size_t expected = static_cast<std::size_t>(
+      config.target_qps * config.duration);
+  std::size_t large = 0;
+  std::size_t planned = 0;
+  {
+    const AllocationCount count(expected / 2 * kRequestBytes);
+    const LoadDriver driver(cat, pop, config.target_qps, config.duration,
+                            config.seed);
+    large = count.large();
+    planned = driver.plan().size();
+  }
+  EXPECT_NEAR(static_cast<double>(planned), static_cast<double>(expected),
+              0.05 * static_cast<double>(expected));
+  EXPECT_EQ(large, 1u);
+}
+
+/// Records an accelerated run of buffer_config() to a journal file.
+std::string record_buffer_journal(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  const ServeConfig config = buffer_config();
+  const auto cat = config.build_catalog();
+  const auto pop = config.build_population();
+  LoadDriver driver(cat, pop, config.target_qps, config.duration,
+                    config.seed);
+  JournalFile file(path);
+  TraceRecorder recorder(file, config);
+  LiveServer server(cat, pop, config);
+  (void)server.run_accelerated(driver, &recorder);
+  return path;
+}
+
+TEST(RequestBuffer, LoadTraceFileAllocatesItsRequestBufferOnce) {
+  const std::string path = record_buffer_journal("request_buffer_load.sv2");
+  std::size_t large = 0;
+  std::size_t loaded = 0;
+  {
+    // 5,000 requests' bytes: above the reader's 64 KiB buffer and every
+    // other block of the decode, below the last sizes of a buffer grown by
+    // doubling.
+    const AllocationCount count(5000 * kRequestBytes);
+    const RecordedRun run = load_trace_file(path);
+    large = count.large();
+    loaded = run.requests.size();
+  }
+  std::remove(path.c_str());
+  ASSERT_GT(loaded, 10000u);
+  EXPECT_EQ(large, 1u);
+}
+
+TEST(RequestBuffer, ReplayRunsOverTheRecordingInPlace) {
+  const std::string path = record_buffer_journal("request_buffer_replay.sv2");
+  const RecordedRun run = load_trace_file(path);
+  std::remove(path.c_str());
+  ASSERT_GT(run.requests.size(), 10000u);
+  std::size_t largest = 0;
+  {
+    const AllocationCount count;
+    const std::vector<core::SimResult> results = replay(run);
+    largest = count.largest();
+    EXPECT_EQ(results.size(), 1u);
+  }
+  EXPECT_LT(largest, run.requests.size() * kRequestBytes);
+}
 
 }  // namespace
 }  // namespace pushpull::serve

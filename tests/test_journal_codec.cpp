@@ -395,6 +395,62 @@ TEST(JournalMutation, DecodersRejectCleanlyOrAgree) {
   EXPECT_GT(recovered_count, loaded_count);
 }
 
+TEST(JournalMutation, FileDecoderRejectsCleanlyOrAgrees) {
+  // load_trace_file reserves its request buffer from the file's length: at
+  // most one request per 39 bytes, the smallest request frame the decoder
+  // accepts. Every tenth mutant of the suite above goes through a file; a
+  // mutated length prefix or footer count must not move that reservation,
+  // and the file decoder must reject or agree exactly as the stream one.
+  constexpr std::size_t kMutationsPerGolden = 1000;
+  constexpr std::size_t kEvery = 10;
+  constexpr std::size_t kMinRequestFrameBytes = 39;
+  const std::string path =
+      ::testing::TempDir() + "journal_mutation_file.sv2";
+  std::size_t loaded_count = 0;
+  std::size_t rejected_count = 0;
+  for (const GoldenRun& run : kGoldenRuns) {
+    const std::string journal = golden_journal(run);
+    const std::vector<std::size_t> offsets = frame_offsets(journal);
+    ASSERT_GE(offsets.size(), 3u) << run.name;
+    for (std::size_t i = 0; i < kMutationsPerGolden; i += kEvery) {
+      rng::SplitMix64 rng(rng::SplitMix64::mix(20050614 + i));
+      const std::string bytes = mutate(journal, offsets, rng).bytes;
+      const std::string label =
+          std::string(run.name) + " mutation " + std::to_string(i);
+      {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+        ASSERT_TRUE(out.good()) << label;
+      }
+
+      std::optional<RecordedRun> streamed;
+      std::optional<RecordedRun> filed;
+      expect_clean(label, [&] {
+        std::istringstream in(bytes);
+        streamed = load_trace(in);
+      });
+      expect_clean(label, [&] { filed = load_trace_file(path); });
+      ASSERT_EQ(filed.has_value(), streamed.has_value()) << label;
+      if (!filed) {
+        ++rejected_count;
+        continue;
+      }
+      ++loaded_count;
+      EXPECT_TRUE(same_requests(filed->requests, streamed->requests))
+          << label;
+      EXPECT_EQ(filed->decisions, streamed->decisions) << label;
+      EXPECT_EQ(filed->ledger.render_json(), streamed->ledger.render_json())
+          << label;
+      EXPECT_LE(filed->requests.capacity(),
+                bytes.size() / kMinRequestFrameBytes)
+          << label;
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(loaded_count, 0u);
+  EXPECT_GT(rejected_count, 0u);
+}
+
 #endif  // PUSHPULL_CLI_PATH && PUSHPULL_GOLDEN_DIR
 
 // ---------------------------------------------------------------------------

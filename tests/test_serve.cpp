@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/hybrid_server.hpp"
@@ -438,6 +440,26 @@ TEST(Replay, RejectsZeroReps) {
   ReplayOptions options;
   options.reps = 0;
   EXPECT_THROW((void)replay(run, options), std::invalid_argument);
+}
+
+TEST(Replay, RejectsOutOfOrderArrivals) {
+  const AcceleratedRun recorded = run_accelerated(small_config());
+  std::istringstream in(recorded.trace);
+  RecordedRun run = load_trace(in);
+  ASSERT_GE(run.requests.size(), 2u);
+  // A hand-built recording: load_trace sorts, so swap two arrivals after.
+  std::swap(run.requests.front().arrival, run.requests.back().arrival);
+  ReplayOptions options;
+  options.reps = 3;
+  options.jobs = 2;
+  // Replay rejects the recording itself, before any rep runs the engine.
+  try {
+    (void)replay(run, options);
+    ADD_FAILURE() << "replay accepted out-of-order arrivals";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("serve::replay:", 0), 0u)
+        << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

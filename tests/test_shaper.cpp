@@ -181,5 +181,46 @@ TEST(ShaperAlloc, CommuterSortsInPlace) {
             kAllocationBound);
 }
 
+// The trace's buffer is shared between copies, so shaping works in place
+// only for its sole holder; exp::Scenario::build moves its base trace in.
+TEST(ShaperAlloc, SoleOwnerShapesInItsOwnBuffer) {
+  for (Preset preset : {Preset::kFlashcrowd, Preset::kCommuter}) {
+    workload::Trace base = golden_base(20000);
+    const workload::Request* buffer = base.requests().data();
+    const scenario::Timeline timeline =
+        scenario::make_timeline(preset, 1.0, base.span(), kItems);
+    const scenario::ShapedTrace shaped =
+        scenario::shape_trace(std::move(base), timeline, 7, kItems, kClasses);
+    EXPECT_EQ(shaped.trace.requests().data(), buffer)
+        << scenario::to_string(preset);
+  }
+}
+
+TEST(ShaperAlloc, SharedTraceIsCopiedAndKeepsItsRequests) {
+  const workload::Trace held = golden_base(20000);
+  const std::vector<workload::Request> original(held.requests().begin(),
+                                                held.requests().end());
+  const auto unchanged = [&] {
+    return std::equal(original.begin(), original.end(),
+                      held.requests().begin(), held.requests().end(),
+                      [](const workload::Request& a,
+                         const workload::Request& b) {
+                        return a.id == b.id && a.item == b.item &&
+                               a.cls == b.cls && a.arrival == b.arrival;
+                      });
+  };
+  for (Preset preset : {Preset::kFlashcrowd, Preset::kCommuter}) {
+    workload::Trace copy = held;
+    ASSERT_EQ(copy.requests().data(), held.requests().data());
+    const scenario::Timeline timeline =
+        scenario::make_timeline(preset, 1.0, held.span(), kItems);
+    const scenario::ShapedTrace shaped =
+        scenario::shape_trace(std::move(copy), timeline, 7, kItems, kClasses);
+    EXPECT_NE(shaped.trace.requests().data(), held.requests().data())
+        << scenario::to_string(preset);
+    EXPECT_TRUE(unchanged()) << scenario::to_string(preset);
+  }
+}
+
 }  // namespace
 }  // namespace pushpull

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "catalog/catalog.hpp"
 #include "catalog/length_model.hpp"
@@ -158,6 +160,61 @@ TEST(Trace, EmptyTrace) {
   const Trace trace;
   EXPECT_TRUE(trace.empty());
   EXPECT_DOUBLE_EQ(trace.span(), 0.0);
+}
+
+TEST(Trace, CopiesShareOneBuffer) {
+  const auto cat = test_catalog();
+  const auto pop = ClientPopulation::paper_default();
+  RequestGenerator gen(cat, pop, 5.0, 19);
+  const Trace trace = Trace::record(gen, 300);
+  const Trace copy = trace;
+  Trace assigned;
+  assigned = trace;
+  EXPECT_EQ(copy.requests().data(), trace.requests().data());
+  EXPECT_EQ(assigned.requests().data(), trace.requests().data());
+  EXPECT_EQ(copy.size(), 300u);
+}
+
+TEST(Trace, ReleaseMovesTheSoleHoldersBuffer) {
+  const auto cat = test_catalog();
+  const auto pop = ClientPopulation::paper_default();
+  RequestGenerator gen(cat, pop, 5.0, 20);
+  Trace trace = Trace::record(gen, 300);
+  const Request* buffer = trace.requests().data();
+  const std::vector<Request> released = std::move(trace).release();
+  EXPECT_EQ(released.data(), buffer);
+  EXPECT_EQ(released.size(), 300u);
+  EXPECT_TRUE(Trace().empty());
+  EXPECT_TRUE(std::move(Trace()).release().empty());
+}
+
+TEST(Trace, ReleaseOfASharedBufferCopiesIt) {
+  const auto cat = test_catalog();
+  const auto pop = ClientPopulation::paper_default();
+  RequestGenerator gen(cat, pop, 5.0, 21);
+  const Trace held = Trace::record(gen, 300);
+  Trace copy = held;
+  const std::vector<Request> released = std::move(copy).release();
+  EXPECT_TRUE(copy.empty());
+  EXPECT_NE(released.data(), held.requests().data());
+  ASSERT_EQ(released.size(), held.size());
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    EXPECT_EQ(released[i].id, held[i].id);
+    EXPECT_EQ(released[i].arrival, held[i].arrival);
+  }
+  // The other holder still reads the whole trace.
+  EXPECT_EQ(held.size(), 300u);
+}
+
+TEST(Trace, RecordUntilReservesForThePoissonTail) {
+  const auto cat = test_catalog();
+  const auto pop = ClientPopulation::paper_default();
+  RequestGenerator gen(cat, pop, 5.0, 22);
+  Trace trace = Trace::record_until(gen, 2000.0);
+  // λT = 10,000; the buffer holds λT + 8·√(λT) = 10,800 requests.
+  const std::vector<Request> released = std::move(trace).release();
+  EXPECT_EQ(released.capacity(), 10800u);
+  EXPECT_LT(released.size(), released.capacity());
 }
 
 TEST(Trace, RejectsUnsortedArrivals) {
